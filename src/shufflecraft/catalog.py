@@ -120,11 +120,17 @@ def entry_names() -> tuple[str, ...]:
     return tuple(_load())
 
 
+def find_entry(name: str) -> CatalogEntry | None:
+    """The catalog entry of this name, or None when there is none."""
+    return _load().get(name)
+
+
 def get_entry(name: str) -> CatalogEntry:
     """Look up a catalog entry, suggesting near-matches for unknown names."""
+    entry = find_entry(name)
+    if entry is not None:
+        return entry
     entries = _load()
-    if name in entries:
-        return entries[name]
     candidates = sorted(
         set(difflib.get_close_matches(name, entries, n=5, cutoff=0.5))
         | {other for other in entries if other.startswith(name)}

@@ -45,7 +45,7 @@ from .morphisms import (
 )
 from .search import distinct_self_shuffles, enumeration_row, find_self_shuffle_betas, unshuffle_square_free
 from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
-from .words import enumerate_square_free, find_square, is_square_free, parikh
+from .words import _ends_in_square, enumerate_square_free, find_square, is_square_free, parikh
 
 ENUMERATION_COLUMNS = ("length", "square_free_count", "shuffle_word_count", "shuffleable_u_count")
 
@@ -425,14 +425,6 @@ def _random_balanced(rng: random.Random, half: int) -> str:
     return "".join(bits)
 
 
-def _suffix_square_free(word: list[str]) -> bool:
-    n = len(word)
-    for half in range(1, n // 2 + 1):
-        if word[n - 2 * half : n - half] == word[n - half :]:
-            return False
-    return True
-
-
 REDUCED_NEXT = {"0": "13", "1": "02", "2": "13", "3": "02"}
 
 
@@ -447,7 +439,7 @@ def _reduced_square_free(max_length: int):
             return
         for c in REDUCED_NEXT[word[-1]] if word else "0123":
             word.append(c)
-            if _suffix_square_free(word):
+            if not _ends_in_square(word):
                 yield from rec()
             word.pop()
 
@@ -461,7 +453,7 @@ def _sample_reduced(rng: random.Random, length: int) -> str:
             options = []
             for c in REDUCED_NEXT[word[-1]]:
                 word.append(c)
-                if _suffix_square_free(word):
+                if not _ends_in_square(word):
                     options.append(c)
                 word.pop()
             if not options:

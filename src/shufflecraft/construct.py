@@ -77,16 +77,25 @@ def cache_dir() -> Path:
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    # The cache only saves work: a write that fails is logged, and the
+    # caller carries on with the value it computed.
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             json.dump(payload, handle)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # Imported only here: loading logging would add half a megabyte to
+        # every process that imports the package.
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "cannot write cache file %s (%s); continuing without it", path, exc)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _read_json(path: Path) -> dict | None:
@@ -196,8 +205,9 @@ def _searched_morphism(src_size: int, dst_size: int, image_length: int) -> Morph
             h = Morphism(src_size, dst_size, tuple(stored["images"]))
             if _morphism_certificate(h).certified:
                 return h
-        else:
+        elif stored.get("status") == "exhausted":
             return None
+        # a search that ran out of budget settles nothing, so search again
     result = search_uniform_square_free_morphism(src_size, dst_size, image_length)
     payload = {"status": result.status}
     if result.morphism is not None:
@@ -267,10 +277,7 @@ def _build(n: int) -> tuple[ShuffleWitness, str]:
     if n in bases:
         return bases[n], "base"
 
-    try:
-        entry = catalog.get_entry(f"w{n}")
-    except KeyError:
-        entry = None
+    entry = catalog.find_entry(f"w{n}")
     if entry is not None and entry.kind == "composition":
         return catalog.expand_composition(entry.payload), "composition"
 

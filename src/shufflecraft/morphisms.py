@@ -16,6 +16,7 @@ from typing import Iterator, Optional, Sequence
 from .words import (
     DIGITS,
     SquareOccurrence,
+    _square_across,
     check_word,
     enumerate_square_free,
     find_square,
@@ -167,29 +168,21 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
         for w in enumerate_square_free(h.src_size, length):
             checked += 1
             img = apply_morphism(h, w)
-            # Only squares touching both the first and the last image block
-            # need a look here: anything else lives inside the image of a
-            # proper factor of w, and that factor is square-free, so it was
-            # already tested at a shorter length.
-            first = len(h.images[int(w[0])])
-            last = len(h.images[int(w[-1])])
-            if _spanning_square(img, first, last):
+            if length == 1:
+                has_square = not is_square_free(img)
+            else:
+                # The images of the proper factors of w were tested square-free
+                # already, so a square must run from the first block into the
+                # last one, across the last block boundary.
+                first = len(h.images[int(w[0])])
+                last = len(h.images[int(w[-1])])
+                shortest = (len(img) - first - last + 3) // 2
+                has_square = _square_across(img, len(img) - last, shortest)
+            if has_square:
                 occ = find_square(img)
                 assert occ is not None
                 return Certificate(subject, "refuted", bound, checked, (w, occ))
     return Certificate(subject, "certified", bound, checked)
-
-
-def _spanning_square(img: str, first: int, last: int) -> bool:
-    # Squares starting inside img[:first] and ending inside img[-last:].
-    n = len(img)
-    for end in range(max(2, n - last + 1), n + 1):
-        shortest = max(1, (end - first + 2) // 2)
-        for half in range(shortest, end // 2 + 1):
-            start = end - 2 * half
-            if img[start] == img[start + half] and img[start:start + half] == img[start + half:end]:
-                return True
-    return False
 
 
 def check_substitution_properties(s: Substitution) -> tuple[bool, bool, bool]:
@@ -253,16 +246,45 @@ def certify_square_free_substitution(
     """
     length = substitution_test_length(s) if test_word_length is None else test_word_length
     props_ok = all(check_substitution_properties(s))
+    clean = {img for images in s.image_sets for img in images if is_square_free(img)}
     checked = 0
     for w in enumerate_square_free(s.src_size, length):
         checked += 1
-        for image in apply_substitution(s, w):
-            occ = find_square(image)
-            if occ is not None:
-                return Certificate(subject, "refuted", length, checked, (w, occ))
+        failing = _first_failing_choices(s, w, clean)
+        if failing is not None:
+            # Every image under this choice prefix has a square, so its
+            # completion by choice 0 is the first failing image in the
+            # lexicographic choice order that apply_substitution follows.
+            choices = failing + [0] * (len(w) - len(failing))
+            occ = find_square(substitute_with_choices(s, w, choices))
+            assert occ is not None
+            return Certificate(subject, "refuted", length, checked, (w, occ))
     if not props_ok:
         return Certificate(subject, "refuted", length, checked, None)
     return Certificate(subject, "certified", length, checked)
+
+
+def _first_failing_choices(s: Substitution, w: str, clean: set[str]) -> Optional[list[int]]:
+    # Depth-first over image choices for the letters of w, sharing each
+    # image prefix among all its completions.  Returns the least choice
+    # prefix whose image has a square, or None when every image of w is
+    # square-free.  A new block is square-free by itself when it is in
+    # clean, so only squares across its left boundary remain to test.
+    blocks = [s.image_sets[int(a)] for a in w]
+    choices: list[int] = []
+
+    def walk(prefix: str) -> bool:
+        if len(choices) == len(blocks):
+            return False
+        for c, block in enumerate(blocks[len(choices)]):
+            choices.append(c)
+            image = prefix + block
+            if block not in clean or _square_across(image, len(prefix)) or walk(image):
+                return True
+            choices.pop()
+        return False
+
+    return choices if walk("") else None
 
 
 def fixed_point_prefix(h: Morphism, seed: int, n: int) -> str:

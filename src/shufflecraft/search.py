@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .shuffle import shuffle_conducted
-from .words import enumerate_square_free, is_square_free
+from .words import _ends_in_square, enumerate_square_free
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,6 @@ class EnumerationRow:
     square_free_count: int
     shuffle_word_count: int
     shuffleable_u_count: int
-
-
-def _no_square_at_end(out: list[str]) -> bool:
-    m = len(out)
-    for half in range(1, m // 2 + 1):
-        if out[m - half:] == out[m - 2 * half:m - half]:
-            return False
-    return True
 
 
 def find_self_shuffle_betas(
@@ -56,14 +48,14 @@ def find_self_shuffle_betas(
         if i < n:
             out.append(u[i])
             bits.append("0")
-            if _no_square_at_end(out):
+            if not _ends_in_square(out):
                 walk(i + 1, j)
             out.pop()
             bits.pop()
         if j < n:
             out.append(u[j])
             bits.append("1")
-            if _no_square_at_end(out):
+            if not _ends_in_square(out):
                 walk(i, j + 1)
             out.pop()
             bits.pop()
@@ -101,12 +93,12 @@ def _self_shuffle_words(u: str) -> set[str]:
             return
         if i < n:
             out.append(u[i])
-            if _no_square_at_end(out):
+            if not _ends_in_square(out):
                 walk(i + 1, j)
             out.pop()
         if j < n:
             out.append(u[j])
-            if _no_square_at_end(out):
+            if not _ends_in_square(out):
                 walk(i, j + 1)
             out.pop()
 
@@ -177,7 +169,7 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
             else:
                 u.append(c)
                 bits.append("0")
-                if _no_square_at_end(u):
+                if not _ends_in_square(u):
                     walk(p + 1, i + 1, j)
                 u.pop()
                 bits.pop()
@@ -191,7 +183,7 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
         else:
             u.append(c)
             bits.append("1")
-            if _no_square_at_end(u):
+            if not _ends_in_square(u):
                 walk(p + 1, i, j + 1)
             u.pop()
             bits.pop()

@@ -39,52 +39,202 @@ def check_word(w: str, alphabet_size: int) -> str:
     return w
 
 
-def _square_start_at_anchor(s: str, q: int, half: int) -> Optional[int]:
-    # A square uu with |u| = half whose occurrence straddles position q
-    # (a multiple of half) matches b letters backward from q and needs
-    # half - b more forward.  Returns the start of such a square, if any.
-    b = 0
-    while b < half and q - b > 0 and s[q - b - 1] == s[q + half - b - 1]:
-        b += 1
+# Halves up to this length are found by byte-wise XOR, one window of the word
+# at a time; longer ones by the anchor scan, whose anchors thin out as the
+# half grows.
+_SHORT_HALF = 64
+# A square of half h anchored at q has its run of h matches w[j] == w[j + h]
+# cover q and, for each 0 < e < h, q + e or q + e - h.  The anchor scan tests
+# these offsets e, all below the shortest half it handles.
+_PROBES = (1, 3, 7, 15, 31, 63)
+_MISMATCH = bytes(1) + b"\xff" * 255  # XOR byte -> 0 on a match, 255 otherwise
+_WINDOW = 1 << 14  # letters per window of the short-half pass
+_BATCH = 1 << 11  # halves per batch of the anchor scan
+
+
+def _letter_bytes(w: str) -> bytes:
+    # One byte per letter; squares depend only on which letters are equal.
+    if w.isascii():
+        return w.encode()
+    codes: dict[str, int] = {}
+    for c in w:
+        codes.setdefault(c, len(codes))
+    if len(codes) > 256:
+        raise ValueError("square detection supports at most 256 distinct letters")
+    return bytes(codes[c] for c in w)
+
+
+def _match_back(w, i: int, j: int, cap: int) -> int:
+    # Length of the longest common suffix of w[:i] and w[:j], at most cap:
+    # letter by letter for the usual short match, then by slices whose
+    # length doubles and then halves, so a long match costs O(log) steps.
+    k = 0
+    while k < cap and w[i - 1 - k] == w[j - 1 - k]:
+        k += 1
+        if k == 8:
+            break
+    else:
+        return k
+    step, growing = 8, True
+    while step:
+        if k + step <= cap and w[i - k - step:i - k] == w[j - k - step:j - k]:
+            k += step
+            if growing:
+                step *= 2
+        else:
+            growing = False
+            step //= 2
+    return k
+
+
+def _anchored_start(w, p: int, half: int) -> int:
+    # Leftmost start of a square of this half whose run of matches
+    # w[j] == w[j + half] covers position p, or -1.  The caller has checked
+    # w[p] == w[p + half].  Backward matches are capped at half - 1, so each
+    # run is claimed by one anchor only.
+    b = _match_back(w, p, p + half, p if p < half else half - 1)
     need = half - b
-    if s[q:q + need] == s[q + half:q + half + need]:
-        return q - b
-    return None
+    if p + half + need > len(w):
+        return -1
+    # Most anchors fail within a few letters; the rest take one comparison.
+    f = 1
+    while f < need and f < 8:
+        if w[p + f] != w[p + half + f]:
+            return -1
+        f += 1
+    return p - b if w[p + f:p + need] == w[p + half + f:p + half + need] else -1
+
+
+def _column_mismatch(data: bytes, k: int, lo: int, hi: int, e: int) -> int:
+    # Byte t of the result, read big-endian over hi - lo + 1 bytes, is 0 iff
+    # data[k*h + e] == data[(k+1)*h + e] for h = lo + t, and 255 otherwise.
+    size = hi - lo + 1
+    left = data[k * lo + e:k * hi + e + 1:k] if k else data[e:e + 1] * size
+    right = data[(k + 1) * lo + e:(k + 1) * hi + e + 1:k + 1]
+    x = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
+    return int.from_bytes(x.to_bytes(size, "big").translate(_MISMATCH), "big")
+
+
+def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
+    # The leftmost square, shortest half at that start; with first=True any
+    # square, returned as soon as one is seen.  Scratch memory stays a few
+    # windows and batches, not copies of the whole word.
+    n = len(w)
+    padded = _letter_bytes(w) + bytes(_PROBES[-1] + 1)
+    data = memoryview(padded)[:n]
+    best: Optional[SquareOccurrence] = None
+    best_start = n
+    short = min(_SHORT_HALF, n // 2)
+    # Short halves, window by window; a square starting in a window ends
+    # within 2 * short - 1 letters past it.
+    for s in range(0, n, _WINDOW):
+        part = data[s:s + _WINDOW + 2 * short - 1]
+        x = int.from_bytes(part, "big")
+        for half in range(1, short + 1):
+            # Byte j >= half of diff is zero iff part[j] == part[j - half], so a
+            # square starting at i is a run of half zero bytes starting at i + half.
+            diff = (x ^ (x >> (8 * half))).to_bytes(len(part), "big")
+            j = diff.find(bytes(half), half, min(best_start - s, _WINDOW) + 2 * half - 1)
+            if j >= 0:
+                best_start, best = s + j - half, SquareOccurrence(s + j - half, half)
+                if first or best_start == 0:
+                    return best
+        if best is not None:
+            break
+
+    # Longer halves: a square's run of h matches covers exactly one anchor
+    # q = k*h.  The anchor tests run for one k and a batch of halves at
+    # once, on the letters k*h + e and (k+1)*h + e taken as strided byte
+    # columns; only anchors that match at q and pass every probe get the
+    # exact test.  No square anchored at k starts before (k-1)*h + 1, which
+    # bounds h once a square is known.  The padding only adds false
+    # matches, which the exact test rejects.
+    for lo in range(short + 1, n // 2 + 1, _BATCH):
+        previous: list[int] = []
+        k = 0
+        while True:
+            hi = min(lo + _BATCH - 1, n // 2, (n - 1) // (k + 1))
+            if k > 1:
+                hi = min(hi, (best_start - 2) // (k - 1))
+            if hi < lo:
+                break
+            size = hi - lo + 1
+            flags = _column_mismatch(padded, k, lo, hi, 0)
+            masks = [_column_mismatch(padded, k, lo, hi, e) for e in _PROBES]
+            for i, mask in enumerate(masks):
+                if previous:  # a match at q + e - h is anchor k - 1's match at its q + e
+                    mask &= previous[i] >> (8 * (previous_size - size))
+                flags |= mask
+            found = flags.to_bytes(size, "big")
+            t = found.find(0)
+            while t >= 0:
+                half = lo + t
+                start = _anchored_start(data, k * half, half)
+                if 0 <= start < best_start:
+                    best_start, best = start, SquareOccurrence(start, half)
+                    if first or start == 0:
+                        return best
+                t = found.find(0, t + 1)
+            previous, previous_size = masks, size
+            k += 1
+    return best
 
 
 def is_square_free(w: str) -> bool:
-    """True iff w contains no factor uu with u non-empty."""
-    n = len(w)
-    for half in range(1, n // 2 + 1):
-        for q in range(half, n - half + 1, half):
-            if _square_start_at_anchor(w, q, half) is not None:
-                return False
-    return True
+    """True iff w contains no factor uu with u non-empty.
+
+    Cost: O(n log n) anchor steps for a word of length n, with no quadratic
+    case.  Halves up to 64 letters take one byte-wise pass over the word
+    each; longer halves test their anchors as byte columns, one anchor
+    multiple at a time, and only the anchors that pass are extended.
+    """
+    return _leftmost_square(w, first=True) is None
 
 
 def find_square(w: str) -> Optional[SquareOccurrence]:
     """Earliest square in w, or None.
 
     Among occurrences the one with minimal start wins; ties go to the
-    minimal half length.
+    minimal half length.  One pass at the cost of is_square_free:
+    O(n log n) anchor steps, with no quadratic case.
     """
-    if is_square_free(w):
-        return None
-    n = len(w)
-    for start in range(n - 1):
-        for half in range(1, (n - start) // 2 + 1):
-            if w[start:start + half] == w[start + half:start + 2 * half]:
-                return SquareOccurrence(start, half)
-    raise AssertionError("unreachable: detector and scan disagree")
+    return _leftmost_square(w)
 
 
-def _extends_square_free(word: list[str]) -> bool:
-    # word[:-1] is square-free; any new square must end at the last letter.
+def _ends_in_square(word) -> bool:
+    # True iff the list or string word ends in a square.  The last letter
+    # is compared first, so most halves are rejected without slicing.
     m = len(word)
+    last = word[-1]
     for half in range(1, m // 2 + 1):
-        if word[m - half:] == word[m - 2 * half:m - half]:
-            return False
-    return True
+        if word[m - 1 - half] == last and word[m - half:] == word[m - 2 * half:m - half]:
+            return True
+    return False
+
+
+def _square_across(x: str, m: int, shortest: int = 1) -> bool:
+    # True iff x has a square with half at least shortest, given that x[:m]
+    # and x[m:] are square-free and m < len(x).  Such a square straddles m:
+    # its run of matches covers m when m falls in its left half, and
+    # p = m - half when m falls in its right half.  Before the exact test,
+    # the run at p must also show at p - 1 or p + 1, and at p + e or
+    # p + e - half for e = half // 2.
+    n = len(x)
+    padded = x + "\n" * (n // 4 + 2)  # keeps the probes in range
+    for half in range(shortest, n - m):
+        if padded[m] == padded[m + half] and _anchored_start(x, m, half) >= 0:
+            return True
+    for half in range(shortest, min(m, n // 2) + 1):
+        p, e = m - half, half // 2
+        if padded[p] != padded[m]:
+            continue
+        if half > 1 and not (
+                (padded[p - 1] == padded[m - 1] or padded[p + 1] == padded[m + 1])
+                and (padded[p + e] == padded[m + e] or padded[p + e - half] == padded[p + e])):
+            continue
+        if _anchored_start(x, p, half) >= 0:
+            return True
+    return False
 
 
 def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
@@ -100,7 +250,7 @@ def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
             return
         for a in letters:
             word.append(a)
-            if _extends_square_free(word):
+            if not _ends_in_square(word):
                 yield from rec()
             word.pop()
 
@@ -118,7 +268,7 @@ def count_square_free(alphabet_size: int, length: int) -> int:
         total = 0
         for a in letters:
             word.append(a)
-            if _extends_square_free(word):
+            if not _ends_in_square(word):
                 total += rec()
             word.pop()
         return total

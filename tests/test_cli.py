@@ -5,6 +5,7 @@ import json
 import pytest
 
 from shufflecraft.cli import run
+from shufflecraft.shuffle import ShuffleWitness
 
 
 def out(argv):
@@ -112,6 +113,18 @@ def test_construct_json_golden():
         "w": "010212",
         "strategy": "base",
     }
+
+
+def test_construct_survives_an_unwritable_cache(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(blocker / "sub"))
+    payload, code = out(["construct", "--length", "50"])
+    assert code == 0
+    fields = dict(line.split(" = ") for line in payload.splitlines())
+    witness = ShuffleWitness(fields["u"], fields["beta"], fields["w"])
+    assert len(witness.u) == 50
+    assert witness.verify()
 
 
 def test_construct_rejects_length_2():

@@ -1,10 +1,11 @@
 """The length-coverage constructor and its strategies."""
 
 import json
+import logging
 
 import pytest
 
-from shufflecraft import catalog
+from shufflecraft import catalog, construct
 from shufflecraft.construct import (
     STRATEGIES,
     UnconstructedLengthError,
@@ -16,6 +17,7 @@ from shufflecraft.construct import (
     sigma5_witness,
     substitution_interval_witness,
 )
+from shufflecraft.morphisms import search_uniform_square_free_morphism
 from shufflecraft.shuffle import ShuffleWitness, shuffle_conducted
 from shufflecraft.words import is_square_free
 
@@ -156,3 +158,40 @@ def test_factor_beats_interval_for_5202():
     assert strategy == "factor"
     assert len(witness.u) == 5202
     assert witness.verify()
+
+
+def test_cached_budget_outcome_is_searched_again(tmp_path, monkeypatch):
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        return search_uniform_square_free_morphism(*args)
+
+    monkeypatch.setattr(construct, "search_uniform_square_free_morphism", search)
+    path = tmp_path / "uniform-3-3-1.json"
+    path.write_text(json.dumps({"status": "budget"}))
+    h = construct._searched_morphism(3, 3, 1)
+    assert calls == [(3, 3, 1)]
+    assert h.images == ("0", "1", "2")
+    assert json.loads(path.read_text())["status"] == "found"
+
+    # an exhausted search space is final
+    path = tmp_path / "uniform-3-3-2.json"
+    path.write_text(json.dumps({"status": "exhausted"}))
+    assert construct._searched_morphism(3, 3, 2) is None
+    assert calls == [(3, 3, 1)]
+
+
+def test_unwritable_cache_falls_back_to_computing(tmp_path, monkeypatch, caplog):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(blocker / "sub"))
+    with caplog.at_level(logging.WARNING, logger="shufflecraft"):
+        witness, strategy = construct_with_strategy(50)
+    assert len(witness.u) == 50
+    assert witness.verify()
+    assert strategy in STRATEGIES
+    [record] = [r for r in caplog.records if r.name.startswith("shufflecraft")]
+    assert record.levelno == logging.WARNING
+    assert str(blocker / "sub" / "witness-00050.json") in record.getMessage()

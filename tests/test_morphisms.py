@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shufflecraft import catalog
 from shufflecraft.morphisms import (
+    Certificate,
     Morphism,
     Substitution,
     apply_morphism,
@@ -20,9 +22,50 @@ from shufflecraft.morphisms import (
     substitution_test_length,
     substitution_text,
 )
-from shufflecraft.words import is_square_free
+from shufflecraft.words import SquareOccurrence, enumerate_square_free, is_square_free
 
 HALL = Morphism(3, 3, ("012", "02", "1"))
+
+
+def brute_find_square(w):
+    """Leftmost square, shortest half at that start, straight from the definition."""
+    for i in range(len(w)):
+        for h in range(1, (len(w) - i) // 2 + 1):
+            if w[i:i + h] == w[i + h:i + 2 * h]:
+                return SquareOccurrence(i, h)
+    return None
+
+
+def reference_certify_morphism(h):
+    """Every image of every square-free word up to the bound, shortest then lex."""
+    bound = crochemore_bound(h)
+    subject = morphism_text(h, sep=", ")
+    checked = 0
+    for length in range(1, bound + 1):
+        for w in enumerate_square_free(h.src_size, length):
+            checked += 1
+            occ = brute_find_square(apply_morphism(h, w))
+            if occ is not None:
+                return Certificate(subject, "refuted", bound, checked, (w, occ))
+    return Certificate(subject, "certified", bound, checked)
+
+
+def reference_certify_substitution(s, length):
+    """The product-order loop: every image of every square-free word of the length."""
+    props_ok = all(check_substitution_properties(s))
+    checked = 0
+    for w in enumerate_square_free(s.src_size, length):
+        checked += 1
+        for image in apply_substitution(s, w):
+            occ = brute_find_square(image)
+            if occ is not None:
+                return Certificate("substitution", "refuted", length, checked, (w, occ))
+    verdict = "certified" if props_ok else "refuted"
+    return Certificate("substitution", verdict, length, checked, None)
+
+
+images = st.text(alphabet="012", min_size=1, max_size=5)
+image_sets = st.lists(st.text(alphabet="012", min_size=2, max_size=6), min_size=1, max_size=2)
 
 
 def test_apply_morphism():
@@ -161,3 +204,38 @@ def test_search_finds_eleven_uniform():
     result = search_uniform_square_free_morphism(3, 3, 11)
     assert result.status == "found"
     assert certify_square_free_morphism(result.morphism).certified
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(images, min_size=2, max_size=3))
+def test_morphism_certificate_matches_exhaustive_check(imgs):
+    h = Morphism(len(imgs), 3, tuple(imgs))
+    assert certify_square_free_morphism(h) == reference_certify_morphism(h)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(image_sets, min_size=3, max_size=3), st.integers(3, 4))
+def test_substitution_certificate_matches_product_order(sets, length):
+    s = Substitution(3, 3, tuple(tuple(images) for images in sets))
+    assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)
+
+
+@st.composite
+def stretch_variants(draw):
+    """The stretch substitution with some images dropped or changed in one
+    letter: certified often enough, and refuted deep in the choice order."""
+    sets = []
+    for images in catalog.get_substitution("stretch").image_sets:
+        kept = list(draw(st.sampled_from([images, images[:1], images[1:]])))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(kept) - 1))
+            pos = draw(st.integers(0, len(kept[i]) - 1))
+            kept[i] = kept[i][:pos] + draw(st.sampled_from("012")) + kept[i][pos + 1:]
+        sets.append(tuple(kept))
+    return Substitution(3, 3, tuple(sets))
+
+
+@settings(deadline=None, max_examples=40)
+@given(stretch_variants(), st.integers(3, 4))
+def test_stretch_variant_certificate_matches_product_order(s, length):
+    assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)

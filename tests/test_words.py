@@ -1,8 +1,14 @@
-import pytest
-from hypothesis import example, given, strategies as st
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from shufflecraft import catalog, words
+from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.words import (
     SquareOccurrence,
+    _ends_in_square,
+    _square_across,
     check_word,
     count_square_free,
     enumerate_square_free,
@@ -14,6 +20,39 @@ from shufflecraft.words import (
 )
 
 ternary = st.text(alphabet="012", max_size=24)
+
+# Square-free and rich in long near-squares: a fixed point of an
+# 18-uniform morphism.
+H18_WORD = fixed_point_prefix(catalog.get_morphism("h18"), 0, 3000)
+
+
+def brute_find_square(w):
+    """Leftmost square, shortest half at that start, straight from the definition."""
+    for i in range(len(w)):
+        for h in range(1, (len(w) - i) // 2 + 1):
+            if w[i:i + h] == w[i + h:i + 2 * h]:
+                return SquareOccurrence(i, h)
+    return None
+
+
+def brute_ends_in_square(w):
+    n = len(w)
+    return any(w[n - 2 * h:n - h] == w[n - h:] for h in range(1, n // 2 + 1))
+
+
+@st.composite
+def long_half_words(draw):
+    """A square-free factor whose last k > 64 letters are repeated, so its
+    squares have halves above the byte-scan limit; sometimes the repeat is
+    spoiled in its last letter or followed by more letters."""
+    start = draw(st.integers(0, 2000))
+    length = draw(st.integers(130, 400))
+    factor = H18_WORD[start:start + length]
+    k = draw(st.integers(65, length))
+    w = factor + factor[-k:]
+    if draw(st.booleans()):
+        w = w[:-1] + draw(st.sampled_from([c for c in "012" if c != w[-1]]))
+    return w + H18_WORD[start + length:start + length + draw(st.integers(0, 40))]
 
 
 def test_check_word_rejects_out_of_range_letters():
@@ -47,6 +86,95 @@ def test_find_square_agrees_with_is_square_free(w):
     if occ is not None:
         start, half = occ
         assert w[start : start + half] == w[start + half : start + 2 * half]
+
+
+@given(st.text(alphabet="012", max_size=40))
+def test_kernel_matches_brute_force(w):
+    expected = brute_find_square(w)
+    assert find_square(w) == expected
+    assert is_square_free(w) == (expected is None)
+    if w:
+        assert _ends_in_square(w) == brute_ends_in_square(w)
+        assert _ends_in_square(list(w)) == brute_ends_in_square(w)
+
+
+@settings(deadline=None, max_examples=60)
+@given(long_half_words())
+def test_kernel_matches_brute_force_on_long_halves(w):
+    expected = brute_find_square(w)
+    assert find_square(w) == expected
+    assert is_square_free(w) == (expected is None)
+    assert _ends_in_square(w) == brute_ends_in_square(w)
+
+
+def test_long_half_square_is_found_exactly():
+    factor = H18_WORD[:500]
+    assert is_square_free(factor)
+    w = factor + factor[-200:]
+    assert find_square(w) == brute_find_square(w)
+    assert find_square(w).half_length > 64
+    assert not is_square_free(w)
+    assert _square_across(w, len(factor))
+    spoiled = w[:-1] + ("0" if w[-1] != "0" else "1")
+    assert _square_across(spoiled, len(factor)) == (brute_find_square(spoiled) is not None)
+    assert is_square_free(H18_WORD)
+
+
+@pytest.mark.parametrize("half", [65, 72])
+def test_long_squares_at_every_offset_from_an_anchor(half):
+    # squares of one long half starting at each residue modulo the half,
+    # so the backward match from the anchor takes every length up to its cap
+    for start in range(half + 2):
+        u = H18_WORD[start:start + half]
+        w = H18_WORD[:start] + u + u
+        assert find_square(w) == brute_find_square(w)
+        assert _square_across(w, start + half) == (brute_find_square(w) is not None)
+
+
+@pytest.mark.parametrize("half", [65, 80])
+def test_long_square_just_before_a_short_one(half):
+    # uu starts at half + 1, the first start its anchor 2 * half allows,
+    # and u opens with a letter then a doubled letter: the short square
+    # found first starts one letter after the long one
+    start = half + 1
+    u = H18_WORD[start:start + half]
+    u = u[:2] + u[1] + u[3:]
+    w = H18_WORD[:start] + u + u
+    assert find_square(w) == SquareOccurrence(start, half) == brute_find_square(w)
+
+
+def test_kernel_across_window_and_batch_edges(monkeypatch):
+    # shrunk windows and batches put squares across their edges
+    monkeypatch.setattr(words, "_WINDOW", 37)
+    monkeypatch.setattr(words, "_BATCH", 5)
+    for start, half in [(36, 64), (73, 64), (36, 1), (40, 63)]:
+        # the longest short half, starting on a window's last letter
+        u = H18_WORD[start:start + half]
+        w = H18_WORD[:start] + u + u
+        assert find_square(w) == brute_find_square(w)
+    rng = random.Random(7)
+    for _ in range(300):
+        start = rng.randrange(2000)
+        factor = H18_WORD[start:start + rng.randint(20, 300)]
+        w = factor + factor[-rng.randint(1, len(factor)):]
+        if rng.random() < 0.5:
+            w += H18_WORD[start + len(factor):][:rng.randint(0, 60)]
+        expected = brute_find_square(w)
+        assert find_square(w) == expected
+        assert is_square_free(w) == (expected is None)
+
+
+@given(st.text(alphabet="012", min_size=1, max_size=30), st.data())
+def test_square_across_a_boundary(w, data):
+    m = data.draw(st.integers(0, len(w) - 1))
+    if is_square_free(w[:m]) and is_square_free(w[m:]):
+        assert _square_across(w, m) == (brute_find_square(w) is not None)
+
+
+def test_letters_beyond_ascii():
+    assert find_square("éaéa") == SquareOccurrence(0, 2)
+    assert find_square("xéyéz") is None
+    assert is_square_free("αβγβα")
 
 
 @given(ternary, ternary)
