@@ -147,15 +147,17 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
     # once, on the letters k*h + e and (k+1)*h + e taken as strided byte
     # columns; only anchors that match at q and pass every probe get the
     # exact test.  No square anchored at k starts before (k-1)*h + 1, which
-    # bounds h once a square is known.  The padding only adds false
-    # matches, which the exact test rejects.
+    # bounds h once a square is known.  A shorter half at the best start can
+    # still turn up at a later k, as k = ceil(start / h) grows when h
+    # shrinks, so ties at one start go to the shorter half.  The padding
+    # only adds false matches, which the exact test rejects.
     for lo in range(short + 1, n // 2 + 1, _BATCH):
         previous: list[int] = []
         k = 0
         while True:
             hi = min(lo + _BATCH - 1, n // 2, (n - 1) // (k + 1))
             if k > 1:
-                hi = min(hi, (best_start - 2) // (k - 1))
+                hi = min(hi, (best_start - 1) // (k - 1))
             if hi < lo:
                 break
             size = hi - lo + 1
@@ -170,7 +172,7 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
             while t >= 0:
                 half = lo + t
                 start = _anchored_start(data, k * half, half)
-                if 0 <= start < best_start:
+                if 0 <= start and (best is None or (start, half) < best):
                     best_start, best = start, SquareOccurrence(start, half)
                     if first or start == 0:
                         return best
@@ -216,23 +218,14 @@ def _square_across(x: str, m: int, shortest: int = 1) -> bool:
     # True iff x has a square with half at least shortest, given that x[:m]
     # and x[m:] are square-free and m < len(x).  Such a square straddles m:
     # its run of matches covers m when m falls in its left half, and
-    # p = m - half when m falls in its right half.  Before the exact test,
-    # the run at p must also show at p - 1 or p + 1, and at p + e or
-    # p + e - half for e = half // 2.
+    # p = m - half when m falls in its right half.
     n = len(x)
-    padded = x + "\n" * (n // 4 + 2)  # keeps the probes in range
     for half in range(shortest, n - m):
-        if padded[m] == padded[m + half] and _anchored_start(x, m, half) >= 0:
+        if x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
             return True
     for half in range(shortest, min(m, n // 2) + 1):
-        p, e = m - half, half // 2
-        if padded[p] != padded[m]:
-            continue
-        if half > 1 and not (
-                (padded[p - 1] == padded[m - 1] or padded[p + 1] == padded[m + 1])
-                and (padded[p + e] == padded[m + e] or padded[p + e - half] == padded[p + e])):
-            continue
-        if _anchored_start(x, p, half) >= 0:
+        p = m - half
+        if x[p] == x[m] and _anchored_start(x, p, half) >= 0:
             return True
     return False
 

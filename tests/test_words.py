@@ -143,6 +143,20 @@ def test_long_square_just_before_a_short_one(half):
     assert find_square(w) == SquareOccurrence(start, half) == brute_find_square(w)
 
 
+@pytest.mark.parametrize("half", [65, 100])
+@pytest.mark.parametrize("extra", [1, 20, 2 * 100, 3 * 100 + 5])
+def test_long_squares_sharing_a_start(half, extra):
+    # p u u u u with |p| > |u|: squares of half |u|, 2|u| and 3|u| start
+    # at |p|, and the longer halves meet their anchors first
+    for offset in (0, 500, 1000):
+        p = H18_WORD[offset:offset + half + extra]
+        u = H18_WORD[offset + len(p):offset + len(p) + half]
+        w = p + u * 4
+        expected = brute_find_square(w)
+        assert find_square(w) == expected
+        assert expected.half_length == half
+
+
 def test_kernel_across_window_and_batch_edges(monkeypatch):
     # shrunk windows and batches put squares across their edges
     monkeypatch.setattr(words, "_WINDOW", 37)
