@@ -139,39 +139,31 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}{hint}")
 
 
-def get_morphism(name: str) -> Morphism:
+def _get(name: str, kind: str) -> object:
     entry = get_entry(name)
-    if entry.kind != "morphism":
-        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a morphism")
+    if entry.kind != kind:
+        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a {kind}")
     return entry.payload
+
+
+def get_morphism(name: str) -> Morphism:
+    return _get(name, "morphism")
 
 
 def get_substitution(name: str) -> Substitution:
-    entry = get_entry(name)
-    if entry.kind != "substitution":
-        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a substitution")
-    return entry.payload
+    return _get(name, "substitution")
 
 
 def get_witness(name: str) -> ShuffleWitness:
-    entry = get_entry(name)
-    if entry.kind != "witness":
-        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a witness")
-    return entry.payload
+    return _get(name, "witness")
 
 
 def get_word(name: str) -> str:
-    entry = get_entry(name)
-    if entry.kind != "word":
-        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a word")
-    return entry.payload
+    return _get(name, "word")
 
 
 def get_beta(name: str) -> str:
-    entry = get_entry(name)
-    if entry.kind != "beta":
-        raise KeyError(f"catalog entry {name!r} is a {entry.kind}, not a beta")
-    return entry.payload
+    return _get(name, "beta")
 
 
 def composition_rules() -> tuple[CatalogEntry, ...]:

@@ -31,7 +31,7 @@ from .morphisms import (
 )
 from .search import find_self_shuffle_betas
 from .shuffle import ShuffleWitness, lift_conducting, shuffle_conducted, verify_witness
-from .words import enumerate_square_free, lex_least_square_free_prefix
+from .words import DIGITS, enumerate_square_free, lex_least_square_free_prefix
 
 CACHE_ENV = "SHUFFLECRAFT_CACHE_DIR"
 
@@ -99,10 +99,13 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path) -> dict | None:
+    # Cache files are input from outside the program: anything but a JSON
+    # object reads as a miss.
     try:
-        return json.loads(path.read_text())
+        stored = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    return stored if isinstance(stored, dict) else None
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +122,9 @@ def sigma5_witness(n: int) -> ShuffleWitness:
     """Five-letter witness of length n: u34 shuffled with itself to u3u434.
 
     u is the lexicographically least square-free ternary word of length n-2;
-    the two fresh letters make the interleaving square-free for every n >= 3.
+    the two fresh letters make the interleaving square-free for every n >= 3,
+    so the result is a witness by construction; `construct_with_strategy`
+    verifies what it builds from it.
     """
     if n < 3:
         raise ValueError(f"witness lengths start at 3, got {n}")
@@ -127,11 +132,7 @@ def sigma5_witness(n: int) -> ShuffleWitness:
     operand = u + "34"
     beta = "0" * (n - 1) + "1" * (n - 2) + "011"
     word = u + "3" + u + "434"
-    witness = ShuffleWitness(operand, beta, word)
-    assert shuffle_conducted(operand, operand, beta) == word
-    if not verify_witness(witness):
-        raise AssertionError(f"five-letter construction failed for n={n}")
-    return witness
+    return ShuffleWitness(operand, beta, word)
 
 
 def apply_morphism_to_witness(
@@ -142,9 +143,11 @@ def apply_morphism_to_witness(
     """Lift a witness through a certified square-free morphism or substitution.
 
     The conducting sequence is stretched run by run, so the new interleaving
-    is exactly the image of the old one and stays square-free.  Refuses any h
-    whose certification does not come back clean, because the result could
-    then not be trusted as a witness.
+    is exactly the image of the old one and stays square-free: the result is
+    a witness by construction from a certified map, and
+    `construct_with_strategy` verifies it.  Refuses any h whose certification
+    does not come back clean, because the result could then not be trusted
+    as a witness.
     """
     if isinstance(h, Substitution):
         if choices is None:
@@ -159,18 +162,16 @@ def apply_morphism_to_witness(
             f"refusing to lift through an uncertified map ({cert.subject}: {cert.verdict})"
         )
     new_beta = lift_conducting(witness.beta, witness.u, h, choices=choices)
-    new_w = shuffle_conducted(new_u, new_u, new_beta)
-    lifted = ShuffleWitness(new_u, new_beta, new_w)
-    if not verify_witness(lifted):
-        raise AssertionError("lifted witness failed verification")
-    return lifted
+    return ShuffleWitness(new_u, new_beta, shuffle_conducted(new_u, new_u, new_beta))
 
 
 def substitution_interval_witness(witness: ShuffleWitness, target: int) -> ShuffleWitness:
     """Stretch a length-L ternary witness to any target in [17L, 18L].
 
     Exactly target - 17L positions use the long image of the stretch
-    substitution, chosen leftmost-first; the rest use the short one.
+    substitution, chosen leftmost-first; the rest use the short one.  The
+    stretch substitution is certified, so the result is a witness by
+    construction; `construct_with_strategy` verifies it.
     """
     stretch = catalog.get_substitution("stretch")
     length = len(witness.u)
@@ -199,15 +200,19 @@ def _fixed_uniform_ternary() -> dict[int, Morphism]:
 def _searched_morphism(src_size: int, dst_size: int, image_length: int) -> Morphism | None:
     """Search result for a uniform square-free morphism, cached on disk."""
     path = cache_dir() / f"uniform-{src_size}-{dst_size}-{image_length}.json"
-    stored = _read_json(path)
-    if stored is not None:
-        if stored.get("status") == "found":
-            h = Morphism(src_size, dst_size, tuple(stored["images"]))
+    stored = _read_json(path) or {}
+    if stored.get("status") == "found":
+        images = stored.get("images")
+        if (isinstance(images, list) and len(images) == src_size
+                and all(isinstance(img, str) and len(img) == image_length for img in images)
+                and set("".join(images)) <= set(DIGITS[:dst_size])):
+            h = Morphism(src_size, dst_size, tuple(images))
             if _morphism_certificate(h).certified:
                 return h
-        elif stored.get("status") == "exhausted":
-            return None
-        # a search that ran out of budget settles nothing, so search again
+    elif stored.get("status") == "exhausted":
+        return None
+    # a search that ran out of budget, or a file that does not hold a
+    # certified morphism of this shape, settles nothing, so search again
     result = search_uniform_square_free_morphism(src_size, dst_size, image_length)
     payload = {"status": result.status}
     if result.morphism is not None:
@@ -250,17 +255,13 @@ def _witness_path(n: int) -> Path:
 
 
 def _load_cached(n: int) -> tuple[ShuffleWitness, str] | None:
-    stored = _read_json(_witness_path(n))
-    if not stored:
+    stored = _read_json(_witness_path(n)) or {}
+    fields = [stored.get(key) for key in ("u", "beta", "w", "strategy")]
+    if not all(isinstance(field, str) for field in fields):
         return None
-    try:
-        witness = ShuffleWitness(stored["u"], stored["beta"], stored["w"])
-        strategy = stored["strategy"]
-    except KeyError:
-        return None
-    if strategy not in STRATEGIES or len(witness.u) != n:
-        return None
-    if not verify_witness(witness):
+    u, beta, w, strategy = fields
+    witness = ShuffleWitness(u, beta, w)
+    if strategy not in STRATEGIES or len(u) != n or not verify_witness(witness):
         return None
     return witness, strategy
 

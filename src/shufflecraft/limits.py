@@ -86,9 +86,9 @@ def verify_theorem5(n: int) -> PrefixVerdict:
     consumes u itself, reproducing u.  n is rounded down to whole periods.
 
     Checks, in order: the marked letters u[18t+6] spell out u again, the w
-    prefix is square-free, the u prefix is square-free, and a step-by-step
-    consumption of both streams rebuilds the u prefix with exactly n // 18
-    letters drawn from the u stream.
+    prefix is square-free, the u prefix is square-free, and w shuffled with
+    the first n // 18 letters of u under the repeated period rebuilds the u
+    prefix.
     """
     if n < 1:
         raise ValueError(f"prefix length must be positive, got {n}")
@@ -114,22 +114,8 @@ def verify_theorem5(n: int) -> PrefixVerdict:
                 f"{name} prefix has a square at {occ.start} of half-length {occ.half_length}",
             )
     period = "0" * 6 + "1" + "0" * 11
-    rebuilt: list[str] = []
-    iw = iu = 0
-    for step in range(length):
-        if period[step % 18] == "0":
-            rebuilt.append(w[iw])
-            iw += 1
-        else:
-            rebuilt.append(u[iu])
-            iu += 1
-    if "".join(rebuilt) != u:
+    if shuffle_conducted(w, u[:periods], period * periods) != u:
         return PrefixVerdict("theorem5", length, False, "consumption does not rebuild the prefix")
-    if iu != periods:
-        return PrefixVerdict(
-            "theorem5", length, False,
-            f"consumed {iu} letters from the self stream, expected {periods}",
-        )
     return PrefixVerdict("theorem5", length, True)
 
 

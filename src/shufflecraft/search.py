@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shuffle import shuffle_conducted
-from .words import _ends_in_square, enumerate_square_free
+from .words import _ends_in_square, count_square_free, enumerate_square_free
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def enumeration_row(length: int) -> EnumerationRow:
         raise ValueError(f"table rows start at length 4, got {length}")
     half = length // 2
 
-    square_free_count = sum(1 for _ in enumerate_square_free(3, length))
+    square_free_count = count_square_free(3, length)
 
     shuffle_words: set[str] = set()
     shuffleable = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .words import is_square_free
 
@@ -29,11 +29,48 @@ __all__ = [
 ]
 
 
+_NOT_A_BIT = re.compile(r"[^01]")
+
+
 def check_beta(beta: str) -> str:
-    for c in beta:
-        if c not in "01":
-            raise ValueError(f"conducting sequences are binary, got letter {c!r}")
+    bad = _NOT_A_BIT.search(beta)
+    if bad:
+        raise ValueError(f"conducting sequences are binary, got letter {bad.group()!r}")
     return beta
+
+
+def _runs(beta: str, first: int, second: int) -> Iterator[tuple[int, int, int]]:
+    """Walk the maximal runs of beta over operands of the given lengths.
+
+    beta is checked in full before anything is yielded; then each run comes
+    out as (side, start, stop): side 0 or 1 names the operand the run
+    consumes, and [start, stop) the slice of that operand it consumes.
+    """
+    check_beta(beta)
+    zeros = beta.count("0")
+    ones = len(beta) - zeros
+    if zeros != first:
+        raise ValueError(
+            f"beta has {zeros} zeros but the first operand has {first} letters")
+    if ones != second:
+        raise ValueError(
+            f"beta has {ones} ones but the second operand has {second} letters")
+    return _walk_runs(beta)
+
+
+def _walk_runs(beta: str) -> Iterator[tuple[int, int, int]]:
+    # Each run ends where the other bit next occurs: one str.find per run.
+    taken = [0, 0]
+    side = int(beta[:1] == "1")
+    pos = 0
+    while pos < len(beta):
+        end = beta.find("10"[side], pos)
+        if end < 0:
+            end = len(beta)
+        start = taken[side]
+        taken[side] = stop = start + end - pos
+        yield side, start, stop
+        side, pos = 1 - side, end
 
 
 _RUN_TOKEN = re.compile(r"\s*([01])(?:\^(?:\{(\d+)\}|(\d+)))?")
@@ -121,25 +158,9 @@ class ShuffleWitness:
 
 def shuffle_conducted(u: str, v: str, beta: str) -> str:
     """Interleave u and v according to beta (0 pulls from u, 1 from v)."""
-    check_beta(beta)
-    zeros = beta.count("0")
-    ones = len(beta) - zeros
-    if zeros != len(u):
-        raise ValueError(
-            f"beta has {zeros} zeros but the first operand has {len(u)} letters")
-    if ones != len(v):
-        raise ValueError(
-            f"beta has {ones} ones but the second operand has {len(v)} letters")
-    out = []
-    i = j = 0
-    for b in beta:
-        if b == "0":
-            out.append(u[i])
-            i += 1
-        else:
-            out.append(v[j])
-            j += 1
-    return "".join(out)
+    operands = (u, v)
+    return "".join(operands[side][start:stop]
+                   for side, start, stop in _runs(beta, len(u), len(v)))
 
 
 def decompose_blocks(u: str, v: str, beta: str) -> BlockDecomposition:
@@ -149,23 +170,11 @@ def decompose_blocks(u: str, v: str, beta: str) -> BlockDecomposition:
     inserted when beta starts with 1, and an empty trailing piece of v when
     it ends with 0, so the tuple always has even length.
     """
-    shuffle_conducted(u, v, beta)  # count validation
-    blocks: list[str] = []
-    i = j = 0
-    p = 0
+    operands = (u, v)
+    blocks = [operands[side][start:stop]
+              for side, start, stop in _runs(beta, len(u), len(v))]
     if beta.startswith("1"):
-        blocks.append("")
-    while p < len(beta):
-        q = p
-        while q < len(beta) and beta[q] == beta[p]:
-            q += 1
-        if beta[p] == "0":
-            blocks.append(u[i:i + q - p])
-            i += q - p
-        else:
-            blocks.append(v[j:j + q - p])
-            j += q - p
-        p = q
+        blocks.insert(0, "")
     if len(blocks) % 2:
         blocks.append("")
     return BlockDecomposition(tuple(blocks))
@@ -179,24 +188,9 @@ def lift_conducting(beta: str, u: str, h, choices: Optional[Sequence[int]] = Non
     a substitution h the caller fixes one image choice per position of u
     (the same choice serves both copies).
     """
-    check_beta(beta)
-    if beta.count("0") != len(u) or beta.count("1") != len(u):
-        raise ValueError("beta does not conduct a self-shuffle of u")
+    runs = _runs(beta, len(u), len(u))
     lengths = _image_lengths(u, h, choices)
-    out = []
-    pointers = [0, 0]  # next unconsumed position of u, per copy
-    p = 0
-    while p < len(beta):
-        q = p
-        while q < len(beta) and beta[q] == beta[p]:
-            q += 1
-        side = 0 if beta[p] == "0" else 1
-        pos = pointers[side]
-        run = sum(lengths[pos:pos + q - p])
-        pointers[side] = pos + q - p
-        out.append(beta[p] * run)
-        p = q
-    return "".join(out)
+    return "".join("01"[side] * sum(lengths[start:stop]) for side, start, stop in runs)
 
 
 def _image_lengths(u: str, h, choices: Optional[Sequence[int]]) -> list[int]:

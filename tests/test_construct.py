@@ -17,7 +17,7 @@ from shufflecraft.construct import (
     sigma5_witness,
     substitution_interval_witness,
 )
-from shufflecraft.morphisms import search_uniform_square_free_morphism
+from shufflecraft.morphisms import Morphism, SearchResult, search_uniform_square_free_morphism
 from shufflecraft.shuffle import ShuffleWitness, shuffle_conducted
 from shufflecraft.words import is_square_free
 
@@ -195,3 +195,59 @@ def test_unwritable_cache_falls_back_to_computing(tmp_path, monkeypatch, caplog)
     [record] = [r for r in caplog.records if r.name.startswith("shufflecraft")]
     assert record.levelno == logging.WARNING
     assert str(blocker / "sub" / "witness-00050.json") in record.getMessage()
+
+
+@pytest.mark.parametrize("payload", [
+    {"status": "found"},
+    [1, 2],
+    "found",
+    {"status": "found", "images": ["0", "1"]},
+    {"status": "found", "images": "012"},
+    {"status": "found", "images": [0, 1, 2]},
+    {"status": "found", "images": ["0", "1", "3"]},
+    {"status": "found", "images": ["00", "11", "22"]},
+    {"status": "found", "images": ["0", "0", "0"]},  # right shape, not square-free
+])
+def test_corrupt_uniform_cache_is_searched_again(tmp_path, monkeypatch, payload):
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    identity = Morphism(3, 3, ("0", "1", "2"))
+    calls = []
+
+    def search(*args):
+        calls.append(args)
+        return SearchResult(identity, "found")
+
+    monkeypatch.setattr(construct, "search_uniform_square_free_morphism", search)
+    path = tmp_path / "uniform-3-3-1.json"
+    path.write_text(json.dumps(payload))
+    assert construct._searched_morphism(3, 3, 1) == identity
+    assert calls == [(3, 3, 1)]
+    assert json.loads(path.read_text()) == {"status": "found", "images": ["0", "1", "2"]}
+
+
+@pytest.mark.parametrize("payload", [
+    [1],
+    "witness",
+    {"u": 5, "beta": "01", "w": "00", "strategy": "base"},
+    {"u": "012", "beta": None, "w": "010212", "strategy": "base"},
+    {"u": "012", "beta": "001011", "w": "010212", "strategy": ["base"]},
+])
+def test_corrupt_witness_cache_is_a_miss(tmp_path, monkeypatch, payload):
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "witness-00019.json"
+    path.write_text(json.dumps(payload))
+    witness, strategy = construct_with_strategy(19)
+    assert strategy == "base"
+    assert witness.verify()
+    assert json.loads(path.read_text())["u"] == witness.u
+
+
+def test_construct_boundary_rejects_a_bad_build(tmp_path, monkeypatch):
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    good = catalog.base_witnesses()[19]
+    tampered = ShuffleWitness(good.u, good.beta, good.w[:-1] + "0")
+    assert not tampered.verify()
+    monkeypatch.setattr(construct, "_build", lambda n: (tampered, "base"))
+    with pytest.raises(AssertionError):
+        construct_with_strategy(19)
+    assert list(tmp_path.iterdir()) == []

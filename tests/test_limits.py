@@ -67,6 +67,14 @@ def test_theorem5_companion_is_marked_complement():
         assert h17.images[a] == img[:6] + img[7:]
 
 
+def test_theorem5_companion_of_wrong_length_is_a_value_error(monkeypatch):
+    from shufflecraft import limits
+
+    monkeypatch.setattr(limits, "apply_morphism", lambda h, w: apply_morphism(h, w)[:-1])
+    with pytest.raises(ValueError, match="zeros but the first operand"):
+        verify_theorem5(18 * 5)
+
+
 def test_abelian_blocks_of_48():
     verdict = verify_abelian_periodicity(48 * 50, 48)
     assert verdict.holds

@@ -1,7 +1,7 @@
 """Conducted shuffles: the interleaving engine and its inverses."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from shufflecraft.shuffle import (
     PeriodicConductingSequence,
@@ -154,3 +154,86 @@ def test_perfect_shuffle_and_dual():
 def test_dean_words_shuffle_square_free():
     for u in ("0", "01", "010", "0103", "010301210"):
         assert is_square_free(perfect_shuffle(u, dual_word(u)))
+
+
+def _reference_shuffle(u, v, beta):
+    # Letter by letter, straight from the definition.
+    out, i, j = [], 0, 0
+    for b in beta:
+        if b == "0":
+            out.append(u[i])
+            i += 1
+        else:
+            out.append(v[j])
+            j += 1
+    return "".join(out)
+
+
+def _reference_runs(beta):
+    # Maximal runs of beta as (bit, length), one letter at a time.
+    runs = []
+    for b in beta:
+        if runs and runs[-1][0] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    return runs
+
+
+def _reference_blocks(u, v, beta):
+    blocks, i, j = ([""] if beta.startswith("1") else []), 0, 0
+    for b, length in _reference_runs(beta):
+        if b == "0":
+            blocks.append(u[i:i + length])
+            i += length
+        else:
+            blocks.append(v[j:j + length])
+            j += length
+    return tuple(blocks + [""] * (len(blocks) % 2))
+
+
+def _reference_lift(beta, u, h):
+    lengths = [len(h.images[int(a)]) for a in u]
+    out, taken = [], {"0": 0, "1": 0}
+    for b, length in _reference_runs(beta):
+        start = taken[b]
+        taken[b] += length
+        out.append(b * sum(lengths[start:start + length]))
+    return "".join(out)
+
+
+@given(word_with_beta(max_size=16))
+def test_run_walker_matches_letter_by_letter_reference(case):
+    u, v, beta = case
+    assert shuffle_conducted(u, v, beta) == _reference_shuffle(u, v, beta)
+    assert decompose_blocks(u, v, beta).blocks == _reference_blocks(u, v, beta)
+
+
+@given(st.text(alphabet="012", max_size=10), st.data())
+def test_lift_matches_reference_on_self_shuffles(u, data):
+    h = Morphism(3, 3, ("021", "10", "2012"))
+    beta = "".join(data.draw(st.permutations(["0"] * len(u) + ["1"] * len(u))))
+    assert lift_conducting(beta, u, h) == _reference_lift(beta, u, h)
+
+
+@given(st.text(alphabet="012", max_size=8), st.text(alphabet="012", max_size=8),
+       st.text(alphabet="01x2", max_size=18))
+def test_run_walker_rejects_bad_betas(u, v, beta):
+    binary = set(beta) <= {"0", "1"}
+    assume(not (binary and beta.count("0") == len(u) and beta.count("1") == len(v)))
+    with pytest.raises(ValueError):
+        shuffle_conducted(u, v, beta)
+    with pytest.raises(ValueError):
+        decompose_blocks(u, v, beta)
+    if not (binary and beta.count("0") == beta.count("1") == len(u)):
+        with pytest.raises(ValueError):
+            lift_conducting(beta, u, Morphism(3, 3, ("0", "1", "2")))
+
+
+def test_run_walker_messages():
+    with pytest.raises(ValueError, match="binary, got letter 'x'"):
+        shuffle_conducted("0", "1", "0x")
+    with pytest.raises(ValueError, match="beta has 2 zeros but the first operand has 1 letters"):
+        decompose_blocks("0", "1", "001")
+    with pytest.raises(ValueError, match="beta has 1 ones but the second operand has 2 letters"):
+        lift_conducting("001", "01", Morphism(3, 3, ("0", "1", "2")))
