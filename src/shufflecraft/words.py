@@ -1,8 +1,8 @@
 """Square-free words over small alphabets.
 
 Words are plain strings of decimal digits: the letter i is the character
-str(i), and alphabets never exceed size 5 here.  The empty word counts as
-square-free.
+str(i), and alphabets have at most 10 letters (check_word enforces it).
+The empty word counts as square-free.
 """
 from __future__ import annotations
 

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shufflecraft import catalog
 from shufflecraft.morphisms import (
     Certificate,
     Morphism,
+    SearchResult,
     Substitution,
     apply_morphism,
     apply_substitution,
@@ -22,7 +23,7 @@ from shufflecraft.morphisms import (
     substitution_test_length,
     substitution_text,
 )
-from shufflecraft.words import SquareOccurrence, enumerate_square_free, is_square_free
+from shufflecraft.words import DIGITS, SquareOccurrence, enumerate_square_free, is_square_free
 
 HALL = Morphism(3, 3, ("012", "02", "1"))
 
@@ -48,6 +49,40 @@ def reference_certify_morphism(h):
             if occ is not None:
                 return Certificate(subject, "refuted", bound, checked, (w, occ))
     return Certificate(subject, "certified", bound, checked)
+
+
+def reference_search(src_k, dst_k, image_length, budget=10 ** 6):
+    """The backtracking search with every test word of lengths 1-3 checked whole."""
+    candidates = list(enumerate_square_free(dst_k, image_length))
+    if not candidates:
+        return SearchResult(None, "exhausted")
+    test_words = [[w for length in (1, 2, 3)
+                   for w in enumerate_square_free(j + 1, length) if DIGITS[j] in w]
+                  for j in range(src_k)]
+    images = []
+    spent = 0
+
+    def extend():
+        nonlocal spent
+        if len(images) == src_k:
+            return "done"
+        for cand in candidates:
+            if budget is not None and spent >= budget:
+                return "budget"
+            spent += 1
+            images.append(cand)
+            if all(is_square_free("".join(images[int(a)] for a in w))
+                   for w in test_words[len(images) - 1]):
+                outcome = extend()
+                if outcome is not None:
+                    return outcome
+            images.pop()
+        return None
+
+    outcome = extend()
+    if outcome == "done":
+        return SearchResult(Morphism(src_k, dst_k, tuple(images)), "found")
+    return SearchResult(None, outcome or "exhausted")
 
 
 def reference_certify_substitution(s, length):
@@ -211,6 +246,123 @@ def test_search_finds_eleven_uniform():
 def test_morphism_certificate_matches_exhaustive_check(imgs):
     h = Morphism(len(imgs), 3, tuple(imgs))
     assert certify_square_free_morphism(h) == reference_certify_morphism(h)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(images, min_size=4, max_size=4))
+def test_four_letter_morphism_certificate_matches_exhaustive_check(imgs):
+    h = Morphism(4, 3, tuple(imgs))
+    assert certify_square_free_morphism(h) == reference_certify_morphism(h)
+
+
+def test_failing_letter_beats_longer_failures():
+    # "010" fails at length 3 and comes before "3" in depth-first order,
+    # but the image of the letter "3" is a square by itself.
+    h = Morphism(4, 3, ("012", "02", "1", "00"))
+    cert = certify_square_free_morphism(h)
+    assert cert == reference_certify_morphism(h)
+    assert cert.counterexample == ("3", (0, 1))
+    assert cert.checked_count == 4
+
+
+def test_deeper_failure_found_first_gives_way_to_shorter_one():
+    # The walk meets the length-3 failure "021" under "0" before it reaches
+    # "12"; the 3 letters and "01", "02", "10" come before "12".
+    h = Morphism(3, 3, ("2", "1", "12"))
+    cert = certify_square_free_morphism(h)
+    assert cert == reference_certify_morphism(h)
+    assert cert.counterexample == ("12", (0, 1))
+    assert cert.checked_count == 7
+
+
+def test_first_failing_letter_ends_the_walk():
+    # "1" fails too, but "0" comes first at length 1.
+    h = Morphism(3, 3, ("122220", "0200", "1"))
+    cert = certify_square_free_morphism(h)
+    assert cert == reference_certify_morphism(h)
+    assert cert.counterexample == ("0", (1, 1))
+    assert cert.checked_count == 1
+
+
+# (verdict, bound_used, checked_count, counterexample) of every catalog
+# morphism, as the length-by-length enumeration gave them.
+CATALOG_CERTIFICATES = {
+    "tau": ("refuted", 3, 10, ("010", (2, 2))),
+    "rho": ("refuted", 3, 9, ("12", (8, 6))),
+    "alpha": ("certified", 3, 21, None),
+    "sigma": ("refuted", 3, 9, ("12", (20, 6))),
+    "B": ("certified", 3, 21, None),
+    "S": ("certified", 3, 21, None),
+    "h19": ("certified", 3, 105, None),
+    "h23": ("certified", 3, 105, None),
+    "h24": ("certified", 3, 105, None),
+    "h18": ("certified", 3, 21, None),
+    "h17": ("certified", 3, 21, None),
+    "sigma_1": ("certified", 3, 21, None),
+    "sigma_2": ("certified", 3, 21, None),
+    "sigma_3": ("certified", 3, 21, None),
+    "sigma_4": ("certified", 3, 21, None),
+    "sigma_5": ("certified", 3, 21, None),
+    "sigma_6": ("certified", 3, 21, None),
+    "sigma_7": ("certified", 3, 21, None),
+    "sigma_8": ("certified", 3, 21, None),
+    "sigma_9": ("certified", 4, 39, None),
+    "sigma_10": ("certified", 4, 39, None),
+    "sigma_11": ("certified", 16, 3183, None),
+    "sigma_12": ("certified", 16, 3183, None),
+    "sigma_13": ("certified", 3, 21, None),
+    "sigma_14": ("certified", 3, 21, None),
+    "sigma_15": ("certified", 5, 69, None),
+    "sigma_16": ("certified", 3, 21, None),
+    "sigma_17": ("certified", 27, 66189, None),
+}
+
+
+def test_catalog_certificates_are_frozen():
+    names = {name for name in catalog.entry_names()
+             if catalog.get_entry(name).kind == "morphism"}
+    assert names == set(CATALOG_CERTIFICATES)
+    for name, expected in CATALOG_CERTIFICATES.items():
+        cert = certify_square_free_morphism(catalog.get_morphism(name), subject=name)
+        assert cert.subject == name
+        assert (cert.verdict, cert.bound_used, cert.checked_count, cert.counterexample) == expected
+
+
+# Images over ten letters with no letter twice in one image: about half of
+# such maps certify, enough for the filter below.
+wide_images = st.lists(st.sampled_from(DIGITS), min_size=1, max_size=5, unique=True).map("".join)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(wide_images, min_size=3, max_size=3))
+def test_certified_morphism_holds_past_the_bound(imgs):
+    h = Morphism(3, 10, tuple(imgs))
+    cert = certify_square_free_morphism(h)
+    assume(cert.certified)
+    for length in (cert.bound_used + 1, cert.bound_used + 2):
+        for w in enumerate_square_free(3, length):
+            assert brute_find_square(apply_morphism(h, w)) is None, w
+
+
+@pytest.mark.parametrize("image_length", range(1, 11))
+def test_search_matches_whole_word_placement(image_length):
+    expected = reference_search(3, 3, image_length)
+    assert search_uniform_square_free_morphism(3, 3, image_length) == expected
+
+
+@pytest.mark.parametrize("src_k, image_length, budget", [
+    (3, 11, 50), (3, 12, 200), (3, 13, 1000), (3, 13, 20000), (5, 18, 3000)])
+def test_search_matches_whole_word_placement_under_budget(src_k, image_length, budget):
+    expected = reference_search(src_k, 3, image_length, budget)
+    assert expected.status == "budget"
+    assert search_uniform_square_free_morphism(src_k, 3, image_length, budget) == expected
+
+
+@pytest.mark.parametrize("src_k, image_length", [(3, 13), (5, 18)])
+def test_search_matches_whole_word_placement_long_images(src_k, image_length):
+    expected = reference_search(src_k, 3, image_length)
+    assert expected.status == "found"
+    assert search_uniform_square_free_morphism(src_k, 3, image_length) == expected
 
 
 @settings(deadline=None, max_examples=150)
