@@ -4,11 +4,15 @@ Everything here rests on one pruning rule: square-freeness is closed under
 taking factors, so a partial shuffle output that already contains a square can
 never extend to a square-free word.  The depth-first searches therefore test
 each appended letter immediately and cut the branch on the first square.
+Where both copies of the operand have given the same number of letters, the
+copies are interchangeable, so the walks take the branch drawing on the
+second copy only as the mirror of the branch drawing on the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .words import _ends_in_square, count_square_free, enumerate_square_free
 
@@ -23,6 +27,10 @@ class EnumerationRow:
     shuffleable_u_count: int
 
 
+# Complements a conducting sequence: swaps which copy each letter comes from.
+_SWAP_COPIES = str.maketrans("01", "10")
+
+
 def find_self_shuffle_betas(
     u: str, limit: int | None = None
 ) -> list[tuple[str, str]]:
@@ -31,6 +39,12 @@ def find_self_shuffle_betas(
     Returns (beta, word) pairs in lexicographic beta order, truncated to limit
     when given.  u itself does not have to be square-free; only the outputs
     are constrained.
+
+    Copy swap: wherever both copies have given the same number of letters,
+    they are interchangeable, so the subtree under bit 1 is the subtree under
+    bit 0 with every later bit complemented, which also reverses its order.
+    The walk visits only the 0-branch there and lists the 1-branch as its
+    mirror; the order and the limit cut-off are those of the full walk.
     """
     n = len(u)
     results: list[tuple[str, str]] = []
@@ -44,6 +58,7 @@ def find_self_shuffle_betas(
             results.append(("".join(bits), "".join(out)))
             return
         # 0 before 1 keeps the output list in ascending beta order
+        first = len(results)
         if i < n:
             out.append(u[i])
             bits.append("0")
@@ -51,6 +66,14 @@ def find_self_shuffle_betas(
                 walk(i + 1, j)
             out.pop()
             bits.pop()
+        if i == j:  # copy swap: the 1-branch is the 0-branch mirrored
+            d = i + j
+            mirror = (
+                (beta[:d] + beta[d:].translate(_SWAP_COPIES), word)
+                for beta, word in reversed(results[first:])
+            )
+            results.extend(mirror if limit is None else islice(mirror, limit - len(results)))
+            return
         if j < n:
             out.append(u[j])
             bits.append("1")
@@ -78,13 +101,12 @@ def distinct_self_shuffles(u: str) -> dict[str, str]:
 
 
 def _self_shuffle_words(u: str) -> set[str]:
-    # Words only, so the first step may be fixed to the first copy: the
-    # complement of a conducting sequence produces the same output word.
+    # The words of find_self_shuffle_betas(u).  By the copy swap, the
+    # 1-branch of a node where both copies have given the same number of
+    # letters yields the same words as its 0-branch, so it is skipped.
     n = len(u)
     words: set[str] = set()
-    if n == 0:
-        return {""}
-    out: list[str] = [u[0]]
+    out: list[str] = []
 
     def walk(i: int, j: int) -> None:
         if i + j == 2 * n:
@@ -95,13 +117,13 @@ def _self_shuffle_words(u: str) -> set[str]:
             if not _ends_in_square(out):
                 walk(i + 1, j)
             out.pop()
-        if j < n:
+        if j < n and i != j:
             out.append(u[j])
             if not _ends_in_square(out):
                 walk(i, j + 1)
             out.pop()
 
-    walk(1, 0)
+    walk(0, 0)
     return words
 
 
@@ -172,7 +194,9 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
                     walk(p + 1, i + 1, j)
                 u.pop()
                 bits.pop()
-        if best is not None or j >= n:
+        # With i == j the 1-branch mirrors the 0-branch (the copy swap), so
+        # it finds an operand only if the 0-branch did.
+        if best is not None or j >= n or i == j:
             return
         if j < len(u):
             if u[j] == c:

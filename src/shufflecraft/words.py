@@ -28,14 +28,25 @@ class SquareOccurrence(NamedTuple):
     half_length: int
 
 
-def check_word(w: str, alphabet_size: int) -> str:
-    """Validate that w uses only letters 0..alphabet_size-1, return w."""
+# Translation tables deleting the letters of each alphabet size.
+_DELETE_LETTERS = [str.maketrans("", "", DIGITS[:k]) for k in range(len(DIGITS) + 1)]
+
+
+def _letters(alphabet_size: int) -> str:
+    # The letters 0..alphabet_size-1, after checking the size.
     if not 1 <= alphabet_size <= 10:
         raise ValueError("alphabet_size must be between 1 and 10")
-    allowed = DIGITS[:alphabet_size]
-    for c in w:
-        if c not in allowed:
-            raise ValueError(f"letter {c!r} not in alphabet of size {alphabet_size}")
+    return DIGITS[:alphabet_size]
+
+
+def check_word(w: str, alphabet_size: int) -> str:
+    """Validate that w uses only letters 0..alphabet_size-1, return w."""
+    _letters(alphabet_size)
+    # Deleting the allowed letters keeps the others in order, so the first
+    # one left is the first bad letter of w.
+    bad = w.translate(_DELETE_LETTERS[alphabet_size])
+    if bad:
+        raise ValueError(f"letter {bad[0]!r} not in alphabet of size {alphabet_size}")
     return w
 
 
@@ -232,9 +243,9 @@ def _square_across(x: str, m: int, shortest: int = 1) -> bool:
 
 def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
     """Yield all square-free words of exactly this length, lexicographically."""
+    letters = _letters(alphabet_size)
     if length < 0:
         raise ValueError("length must be non-negative")
-    letters = DIGITS[:alphabet_size]
     word: list[str] = []
 
     def rec() -> Iterator[str]:
@@ -251,9 +262,24 @@ def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
 
 
 def count_square_free(alphabet_size: int, length: int) -> int:
-    """Number of square-free words of the given length."""
-    letters = DIGITS[:alphabet_size]
-    word: list[str] = []
+    """Number of square-free words of the given length.
+
+    Letter renaming: from length 2 on, a square-free word starts with two
+    distinct letters a, b, and renaming the letters so that a becomes 0 and
+    b becomes 1 maps the square-free words starting with ab one-to-one onto
+    those starting with 01.  So the walk covers only the words starting
+    with 01 and multiplies by the m * (m - 1) pairs a, b, m the alphabet
+    size.
+    """
+    letters = _letters(alphabet_size)
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    m = len(letters)
+    if length < 2:
+        return m ** length
+    if m < 2:
+        return 0
+    word = ["0", "1"]
 
     def rec() -> int:
         if len(word) == length:
@@ -266,7 +292,7 @@ def count_square_free(alphabet_size: int, length: int) -> int:
             word.pop()
         return total
 
-    return rec()
+    return m * (m - 1) * rec()
 
 
 def parikh(w: str, alphabet_size: int) -> tuple[int, ...]:

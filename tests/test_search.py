@@ -1,9 +1,12 @@
 """Backtracking searches: self-shuffles, the counting table, unshuffling."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shufflecraft.search import (
+    _self_shuffle_words,
     distinct_self_shuffles,
     enumeration_row,
     find_self_shuffle_betas,
@@ -100,3 +103,98 @@ def test_unshuffle_inverts_shuffle(u):
         assert recovered is not None
         v, gamma = recovered
         assert shuffle_conducted(v, v, gamma) == word
+
+
+# Brute-force references for the depth-first walkers, straight from the
+# definitions: every conducting sequence, every square.
+
+
+def brute_has_square(w):
+    return any(w[i:i + h] == w[i + h:i + 2 * h]
+               for i in range(len(w)) for h in range(1, (len(w) - i) // 2 + 1))
+
+
+def balanced_betas(n):
+    """Every binary word with n zeros and n ones, in ascending order."""
+    betas = []
+    for ones in combinations(range(2 * n), n):
+        bits = ["0"] * (2 * n)
+        for p in ones:
+            bits[p] = "1"
+        betas.append("".join(bits))
+    return sorted(betas)
+
+
+def copies(w, beta):
+    """The letters of w taken at the 0s of beta, and at its 1s."""
+    return ("".join(c for c, b in zip(w, beta) if b == "0"),
+            "".join(c for c, b in zip(w, beta) if b == "1"))
+
+
+def reference_betas(u):
+    found = []
+    for beta in balanced_betas(len(u)):
+        word = shuffle_conducted(u, u, beta)
+        if not brute_has_square(word):
+            found.append((beta, word))
+    return found
+
+
+def reference_unshuffle(w):
+    if len(w) % 2:
+        return None
+    for beta in balanced_betas(len(w) // 2):
+        first, second = copies(w, beta)
+        if first == second and not brute_has_square(first):
+            return first, beta
+    return None
+
+
+LIMITS = (None, 0, 1, 2, 5)
+# Operands where both copies stand level again after the first step, so the
+# copy swap applies in the middle of the walk.
+LEVEL_AGAIN = ["012012", "0102", "0101", "01210121", "0120"]
+
+
+def check_walkers(u):
+    expected = reference_betas(u)
+    for limit in LIMITS:
+        assert find_self_shuffle_betas(u, limit) == expected[:limit]
+    assert _self_shuffle_words(u) == {word for _, word in expected}
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_walkers_match_brute_force_on_square_free_operands(length):
+    for u in enumerate_square_free(3, length):
+        check_walkers(u)
+
+
+@pytest.mark.parametrize("u", LEVEL_AGAIN)
+def test_walkers_match_brute_force_where_copies_level_again(u):
+    check_walkers(u)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.text(alphabet="0123", max_size=6))
+def test_walkers_match_brute_force_on_words_with_squares(u):
+    check_walkers(u)
+
+
+@st.composite
+def unshuffle_inputs(draw):
+    """Even-length words up to 14 letters: self-shuffles of random
+    operands, square-free or not, and words drawn at random."""
+    n = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="012", min_size=2 * n, max_size=2 * n))
+    u = draw(st.text(alphabet="012", min_size=n, max_size=n))
+    return shuffle_conducted(u, u, draw(st.sampled_from(balanced_betas(n))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(unshuffle_inputs())
+@example("010212")
+@example("01020102")
+@example("012012012012")
+def test_unshuffle_matches_brute_force(w):
+    assert unshuffle_square_free(w) == reference_unshuffle(w)

@@ -63,6 +63,20 @@ def test_check_word_rejects_out_of_range_letters():
         check_word("0a2", 3)
 
 
+@pytest.mark.parametrize("w, k, bad", [
+    ("0123", 3, "3"),
+    ("3", 3, "3"),
+    ("a01", 3, "a"),
+    ("01\u00e92", 3, "\u00e9"),
+    ("0192a", 9, "9"),
+    ("01a3", 3, "a"),
+])
+def test_check_word_names_the_first_bad_letter(w, k, bad):
+    with pytest.raises(ValueError) as info:
+        check_word(w, k)
+    assert str(info.value) == f"letter {bad!r} not in alphabet of size {k}"
+
+
 def test_empty_and_single_letters_are_square_free():
     assert is_square_free("")
     assert is_square_free("0")
@@ -221,6 +235,36 @@ def test_binary_square_free_words_die_out():
 @given(st.integers(min_value=0, max_value=9))
 def test_count_matches_enumeration(length):
     assert count_square_free(3, length) == len(list(enumerate_square_free(3, length)))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_count_matches_enumeration_over_alphabets(k):
+    for length in range(10 if k <= 3 else 7):
+        assert count_square_free(k, length) == len(list(enumerate_square_free(k, length)))
+
+
+def test_long_ternary_counts():
+    # A006156 at 28 and 30
+    assert count_square_free(3, 28) == 20220
+    assert count_square_free(3, 30) == 34422
+
+
+def test_negative_length_is_rejected():
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        count_square_free(3, -1)
+    with pytest.raises(ValueError, match="length must be non-negative"):
+        list(enumerate_square_free(3, -1))
+
+
+@pytest.mark.parametrize("k", [0, 11, -3])
+def test_alphabet_size_out_of_range_is_rejected(k):
+    message = "alphabet_size must be between 1 and 10"
+    with pytest.raises(ValueError, match=message):
+        count_square_free(k, 4)
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_square_free(k, 4))
+    with pytest.raises(ValueError, match=message):
+        check_word("", k)
 
 
 def test_parikh_counts_letters():
