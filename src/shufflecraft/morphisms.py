@@ -162,13 +162,16 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
     square-free outright.  A refutation carries the first failing source
     word (shortest, then lexicographic) with the square in its image.
 
-    The letter images are tested first.  Then one depth-first walk over
-    source letters visits the longer square-free source words, and each
-    image is its parent's image plus one block, so only squares across the
-    newest block boundary are tested.  A failure caps the walk below its
-    own length, so the refutation and checked_count are those of testing
-    every length in turn, shortest first.  A refuted map costs at most what
-    certifying a map with the same bound does.
+    The letter images are tested first, then the images of the square-free
+    two-letter words in order, each by the squares across its one block
+    boundary.  Then one depth-first walk over source letters visits the
+    longer square-free source words, and each image is its parent's image
+    plus one block, so only squares across the newest block boundary are
+    tested.  A failure caps the walk below its own length, so the
+    refutation and checked_count are those of testing every length in
+    turn, shortest first.  A refuted map costs at most what certifying a
+    map with the same bound does, and a failing two-letter word is found
+    without the walk.
     """
     bound = crochemore_bound(h)
     subject = subject or morphism_text(h, sep=", ")
@@ -181,6 +184,17 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
         if not is_square_free(block):
             failure, cap = (letters[a], a + 1), 0
             break
+    else:
+        # The two-letter words next, in order: a failure among them is the
+        # refutation, and depth-first order would meet it only after the
+        # whole walk under every earlier letter.
+        # The square-free two-letter words are the ab with a != b.
+        pairs = itertools.permutations(range(h.src_size), 2)
+        for rank, (a, b) in enumerate(pairs, 1):
+            left = h.images[a]
+            if _square_across(left + h.images[b], len(left)):
+                failure, cap = (letters[a] + letters[b], rank), 1
+                break
 
     def walk(prefix: str, first: int) -> None:
         nonlocal cap, failure
@@ -193,12 +207,13 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
                 counts[depth] += 1
                 block = h.images[int(a)]
                 image = prefix + block
-                # Past the letters, the images of the shorter source words
-                # are square-free unless a shorter failure exists, which then
-                # wins; so a square must run from the first block into the
-                # last one, across the last block boundary.
+                # Past the two-letter words, tested before the walk, the
+                # images of the shorter source words are square-free unless
+                # a shorter failure exists, which then wins; so a square
+                # must run from the first block into the last one, across
+                # the last block boundary.
                 shortest = (len(image) - first - len(block) + 3) // 2
-                if prefix and _square_across(image, len(prefix), shortest):
+                if depth > 2 and _square_across(image, len(prefix), shortest):
                     failure = ("".join(word), counts[depth])
                     cap = depth - 1
                 elif depth < cap:
@@ -272,12 +287,27 @@ def certify_square_free_substitution(
     default length comes from substitution_test_length.  Refuted means the
     test failed; when the failure is a concrete square it is attached as
     the counterexample.
+
+    Letter rotation: when source and target have the same k letters and
+    renaming every letter c to c + 1 (mod k) carries the images of each
+    letter a, in order, onto those of a + 1, the images of a word rotated
+    that way are those of the word rotated the same way, and renaming
+    keeps squares.  So every square-free source word fails or passes with
+    its rotation starting with 0, and only those words are swept.  The
+    rotations map them one-to-one onto the words starting with each other
+    letter, so a certified count is k times theirs.  The first failing
+    word in lexicographic order starts with 0, as does every word before
+    it, so a refutation, its count and its square are those of the full
+    sweep.
     """
     length = substitution_test_length(s) if test_word_length is None else test_word_length
     props_ok = all(check_substitution_properties(s))
     clean = {img for images in s.image_sets for img in images if is_square_free(img)}
+    classes = _rotation_classes(s) if length else 1
     checked = 0
     for w in enumerate_square_free(s.src_size, length):
+        if classes > 1 and w[0] != "0":
+            break
         checked += 1
         failing = _first_failing_choices(s, w, clean)
         if failing is not None:
@@ -288,9 +318,23 @@ def certify_square_free_substitution(
             occ = find_square(substitute_with_choices(s, w, choices))
             assert occ is not None
             return Certificate(subject, "refuted", length, checked, (w, occ))
+    checked *= classes
     if not props_ok:
         return Certificate(subject, "refuted", length, checked, None)
     return Certificate(subject, "certified", length, checked)
+
+
+def _rotation_classes(s: Substitution) -> int:
+    # k when s commutes with the letter rotation c -> c + 1 (mod k) on a
+    # k-letter alphabet, image order included; otherwise 1.
+    k = s.src_size
+    if s.dst_size != k:
+        return 1
+    rotate = str.maketrans(DIGITS[:k], DIGITS[1:k] + "0")
+    for a, images in enumerate(s.image_sets):
+        if tuple(img.translate(rotate) for img in images) != s.image_sets[(a + 1) % k]:
+            return 1
+    return k
 
 
 def _first_failing_choices(s: Substitution, w: str, clean: set[str]) -> Optional[list[int]]:

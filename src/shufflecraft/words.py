@@ -61,6 +61,9 @@ _PROBES = (1, 3, 7, 15, 31, 63)
 _MISMATCH = bytes(1) + b"\xff" * 255  # XOR byte -> 0 on a match, 255 otherwise
 _WINDOW = 1 << 14  # letters per window of the short-half pass
 _BATCH = 1 << 11  # halves per batch of the anchor scan
+# Letters before a boundary that _square_across looks up with str.rfind to
+# find the long halves of squares ending just past it.
+_TAIL = 8
 
 
 def _letter_bytes(w: str) -> bytes:
@@ -230,14 +233,33 @@ def _square_across(x: str, m: int, shortest: int = 1) -> bool:
     # and x[m:] are square-free and m < len(x).  Such a square straddles m:
     # its run of matches covers m when m falls in its left half, and
     # p = m - half when m falls in its right half.
+    #
+    # In the second case the square x[s:s + 2*half] ends by n, so the part
+    # of its right half before m, x[s + half:m], has at least
+    # half - (n - m) letters, and it matches the letters before p.  Once
+    # half > n - m + _TAIL that is more than _TAIL letters, so s < p - _TAIL
+    # and the last _TAIL letters before m, z, also end at p.  Those halves
+    # come from the occurrences of z, found by str.rfind, shortest half
+    # first; no half above m - _TAIL - 1 has room for them.
     n = len(x)
     for half in range(shortest, n - m):
         if x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
             return True
-    for half in range(shortest, min(m, n // 2) + 1):
+    for half in range(shortest, min(m, n // 2, n - m + _TAIL) + 1):
         p = m - half
         if x[p] == x[m] and _anchored_start(x, p, half) >= 0:
             return True
+    low = max(shortest, n - m + _TAIL + 1)
+    high = min(n // 2, m - _TAIL - 1)
+    if low <= high:
+        z = x[m - _TAIL:m]
+        first = m - _TAIL - high  # the occurrence of z for the longest half
+        q = x.rfind(z, first, m - low)
+        while q >= 0:
+            p = q + _TAIL
+            if x[p] == x[m] and _anchored_start(x, p, m - p) >= 0:
+                return True
+            q = x.rfind(z, first, p - 1)
     return False
 
 

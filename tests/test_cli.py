@@ -97,6 +97,13 @@ def test_certify_morphism_unknown_name():
     assert "nosuch" in payload
 
 
+def test_certify_substitution_stretch_golden():
+    # 78 = 3 x 26: the count covers the words starting with 1 and 2, which
+    # the letter rotation lets the sweep skip
+    assert out(["certify-substitution", "stretch"]) == (
+        "certified square-free: 78 images checked up to length 8", 0)
+
+
 def test_fixed_point_hall_prefix():
     payload, code = out(["fixed-point", "tau", "--length", "27"])
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from shufflecraft import catalog
+from shufflecraft import catalog, morphisms
 from shufflecraft.morphisms import (
     Certificate,
     Morphism,
@@ -284,6 +284,23 @@ def test_first_failing_letter_ends_the_walk():
     assert cert.checked_count == 1
 
 
+@pytest.mark.parametrize("extra", range(2, 8))
+def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
+    # sigma_17 with a prefix of its image of 2 appended to its image of 1
+    # fails at "10" or "12", late in depth-first order under "0"; the
+    # two-letter pass finds it, and the walk only counts the letters
+    images = list(catalog.get_morphism("sigma_17").images)
+    images[1] += images[2][:extra]
+    h = Morphism(3, 3, tuple(images))
+    tested = []
+    ends_in_square = morphisms._ends_in_square
+    monkeypatch.setattr(morphisms, "_ends_in_square", lambda w: tested.append(w) or ends_in_square(w))
+    cert = certify_square_free_morphism(h)
+    assert cert == reference_certify_morphism(h)
+    assert cert.counterexample[0] in ("10", "12")
+    assert len(tested) == 3
+
+
 # (verdict, bound_used, checked_count, counterexample) of every catalog
 # morphism, as the length-by-length enumeration gave them.
 CATALOG_CERTIFICATES = {
@@ -390,4 +407,84 @@ def stretch_variants(draw):
 @settings(deadline=None, max_examples=40)
 @given(stretch_variants(), st.integers(3, 4))
 def test_stretch_variant_certificate_matches_product_order(s, length):
+    assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)
+
+
+ROTATE = str.maketrans("012", "120")
+
+
+def rotated_sets(images):
+    """Image sets of letters 0, 1, 2 that commute with the rotation c -> c + 1 (mod 3)."""
+    sets = [tuple(images)]
+    for _ in range(2):
+        sets.append(tuple(img.translate(ROTATE) for img in sets[-1]))
+    return tuple(sets)
+
+
+@st.composite
+def rotation_invariant_stretch_variants(draw):
+    """stretch with one letter of one image of letter 0 changed, and the
+    same change rotated into the images of letters 1 and 2."""
+    images = list(catalog.get_substitution("stretch").image_sets[0])
+    i = draw(st.integers(0, len(images) - 1))
+    pos = draw(st.integers(0, len(images[i]) - 1))
+    images[i] = images[i][:pos] + draw(st.sampled_from("012")) + images[i][pos + 1:]
+    return Substitution(3, 3, rotated_sets(images))
+
+
+def count_sweeps(monkeypatch):
+    """Record the source words the substitution sweep tests."""
+    swept = []
+    first_failing = morphisms._first_failing_choices
+
+    def counting(s, w, clean):
+        swept.append(w)
+        return first_failing(s, w, clean)
+
+    monkeypatch.setattr(morphisms, "_first_failing_choices", counting)
+    return swept
+
+
+@settings(deadline=None, max_examples=60)
+@given(rotation_invariant_stretch_variants(), st.integers(3, 4))
+@example(Substitution(3, 3, catalog.get_substitution("stretch").image_sets), 4)
+@example(Substitution(3, 3, rotated_sets(("01202120102120210", "012021020102120010"))), 4)
+@example(Substitution(3, 3, rotated_sets(("01210",))), 4)  # refuted at the fourth word, 0201
+def test_rotation_invariant_certificate_matches_product_order(s, length):
+    assert morphisms._rotation_classes(s) == 3
+    assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)
+
+
+def test_rotation_sweeps_only_words_starting_with_0(monkeypatch):
+    swept = count_sweeps(monkeypatch)
+    cert = certify_square_free_substitution(catalog.get_substitution("stretch"))
+    assert cert.certified and cert.checked_count == 78
+    assert len(swept) == 26 and all(w[0] == "0" for w in swept)
+
+
+def test_sweep_without_rotation_covers_every_word(monkeypatch):
+    # image order is part of the rotation: swapping one pair breaks it
+    sets = list(catalog.get_substitution("stretch").image_sets)
+    sets[1] = sets[1][::-1]
+    s = Substitution(3, 3, tuple(sets))
+    assert morphisms._rotation_classes(s) == 1
+    swept = count_sweeps(monkeypatch)
+    cert = certify_square_free_substitution(s)
+    assert cert.certified and cert.checked_count == 78
+    assert swept == list(enumerate_square_free(3, 8))
+
+
+def test_rotation_needs_one_alphabet(monkeypatch):
+    # the stretch images over a declared four-letter target
+    s = Substitution(3, 4, catalog.get_substitution("stretch").image_sets)
+    assert morphisms._rotation_classes(s) == 1
+    swept = count_sweeps(monkeypatch)
+    assert certify_square_free_substitution(s, 4) == reference_certify_substitution(s, 4)
+    assert len(swept) == 18
+
+
+@pytest.mark.parametrize("images", [("0",), ("00",), ("0", "00")])
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+def test_one_letter_substitution_matches_product_order(images, length):
+    s = Substitution(1, 1, (images,))
     assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shufflecraft import catalog, words
-from shufflecraft.morphisms import fixed_point_prefix
+from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
     SquareOccurrence,
     _ends_in_square,
@@ -197,6 +197,72 @@ def test_square_across_a_boundary(w, data):
     m = data.draw(st.integers(0, len(w) - 1))
     if is_square_free(w[:m]) and is_square_free(w[m:]):
         assert _square_across(w, m) == (brute_find_square(w) is not None)
+
+
+def square_halves(w):
+    """Halves of all squares in w, straight from the definition."""
+    return {h for i in range(len(w)) for h in range(1, (len(w) - i) // 2 + 1)
+            if w[i:i + h] == w[i + h:i + 2 * h]}
+
+
+@st.composite
+def long_boundaries(draw):
+    """An h18 factor of 60-300 letters, then a square-free right part of
+    1-40 letters, often the factor's continuation shifted back by a period
+    and sometimes changed in one letter, so long squares cross the boundary."""
+    start = draw(st.integers(0, 2500))
+    left = H18_WORD[start:start + draw(st.integers(60, 300))]
+    size = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        at = start + len(left) - draw(st.integers(1, len(left)))
+    else:
+        at = draw(st.integers(0, len(H18_WORD) - size))
+    right = H18_WORD[at:at + size]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, size - 1))
+        right = right[:i] + draw(st.sampled_from("012")) + right[i + 1:]
+    return left, right, draw(st.sampled_from([1, 1, 2, 5, 10, 30]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(long_boundaries())
+def test_square_across_long_words(case):
+    left, right, shortest = case
+    assume(is_square_free(right))
+    w = left + right
+    expected = any(h >= shortest for h in square_halves(w))
+    assert _square_across(w, len(left), shortest) == expected
+    if shortest == 1:
+        assert expected == (brute_find_square(w) is not None)
+
+
+@pytest.mark.parametrize("tail", [None, 1, 20])
+def test_square_across_planted_long_halves(monkeypatch, tail):
+    # p u u t with the boundary m at every offset j inside the second u:
+    # x[:m] = p u u[:j] and x[m:] = u[j:] t, both square-free as factors of
+    # h18 images of square-free words (b v v[:-1] and v a).  The halves
+    # above n - m + _TAIL come from str.rfind.  The cases kill these
+    # mutants: its end bound one short (j = len(t) + _TAIL + 1), its start
+    # bound one late (p empty, where the half is n // 2), the per-half loop
+    # stopping at n - m (j up to _TAIL), and the rfind halves not held to
+    # shortest (shortest = half + 1).
+    if tail is not None:
+        monkeypatch.setattr(words, "_TAIL", tail)
+    h18 = catalog.get_morphism("h18")
+    through_rfind = 0
+    for b, v, a in [("2", "01", "0"), ("1", "012", "1"), ("2", "0121", "0")]:
+        before, u, after = (apply_morphism(h18, x) for x in (b, v, a))
+        for p_size, t_size in [(0, 0), (0, 3), (1, 0), (9, 0), (4, 11)]:
+            w = before[len(before) - p_size:] + u + u + after[:t_size]
+            halves = square_halves(w)
+            for j in range(len(u)):
+                m = p_size + len(u) + j
+                assert is_square_free(w[:m]) and is_square_free(w[m:])
+                through_rfind += len(u) > len(w) - m + words._TAIL
+                for shortest in (1, 2, len(u), len(u) + 1):
+                    expected = any(h >= shortest for h in halves)
+                    assert _square_across(w, m, shortest) == expected, (v, p_size, t_size, j, shortest)
+    assert through_rfind >= 100
 
 
 def test_letters_beyond_ascii():
