@@ -26,21 +26,13 @@ from .morphisms import (
     apply_morphism,
     certify_square_free_morphism,
     certify_square_free_substitution,
-    search_uniform_square_free_morphism,
     substitute_with_choices,
 )
 from .search import find_self_shuffle_betas
 from .shuffle import ShuffleWitness, lift_conducting, shuffle_conducted, verify_witness
-from .words import DIGITS, enumerate_square_free, lex_least_square_free_prefix
+from .words import enumerate_square_free, lex_least_square_free_prefix
 
 CACHE_ENV = "SHUFFLECRAFT_CACHE_DIR"
-
-# Uniform ternary image lengths the factoring strategy may search for.  11 is
-# the smallest length admitting a uniform square-free ternary morphism, and
-# lengths 14, 15, 16, 20, 21, 22 are the known exceptions; larger lengths are
-# never searched here because the direct strategies below are cheaper.
-SEARCHED_TERNARY_LENGTHS = (11, 12, 13)
-PIPELINE_IMAGE_LENGTHS = (19, 23, 24, 18, 22)
 
 STRATEGIES = (
     "base",
@@ -96,16 +88,6 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _read_json(path: Path) -> dict | None:
-    # Cache files are input from outside the program: anything but a JSON
-    # object reads as a miss.
-    try:
-        stored = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return stored if isinstance(stored, dict) else None
 
 
 @lru_cache(maxsize=None)
@@ -185,62 +167,29 @@ def substitution_interval_witness(witness: ShuffleWitness, target: int) -> Shuff
     return apply_morphism_to_witness(witness, stretch, choices)
 
 
-@lru_cache(maxsize=8)
-def _fixed_uniform_ternary() -> dict[int, Morphism]:
-    h17 = catalog.get_morphism("h17")
-    h18 = catalog.get_morphism("h18")
-    out = {17: h17, 18: h18}
-    for name in ("h19", "h23", "h24", "B", "S"):
+@lru_cache(maxsize=1)
+def _uniform_ternary() -> dict[int, Morphism]:
+    """Uniform 3->3 catalog maps keyed by image length, the factor strategy's divisors.
+
+    The first three images of a 5->3 map form a 3->3 map of the same image
+    length.
+    """
+    maps = [catalog.get_morphism(name) for name in ("u11", "u12", "u13", "h17", "h18", "B", "S")]
+    for name in ("h19", "h23", "h24"):
         wide = catalog.get_morphism(name)
-        narrowed = Morphism(3, wide.dst_size, wide.images[:3])
-        out[narrowed.max_image_length] = narrowed
-    return out
+        maps.append(Morphism(3, wide.dst_size, wide.images[:3]))
+    return {h.max_image_length: h for h in maps}
 
 
-def _searched_morphism(src_size: int, dst_size: int, image_length: int) -> Morphism | None:
-    """Search result for a uniform square-free morphism, cached on disk."""
-    path = cache_dir() / f"uniform-{src_size}-{dst_size}-{image_length}.json"
-    stored = _read_json(path) or {}
-    if stored.get("status") == "found":
-        images = stored.get("images")
-        if (isinstance(images, list) and len(images) == src_size
-                and all(isinstance(img, str) and len(img) == image_length for img in images)
-                and set("".join(images)) <= set(DIGITS[:dst_size])):
-            h = Morphism(src_size, dst_size, tuple(images))
-            if _morphism_certificate(h).certified:
-                return h
-    elif stored.get("status") == "exhausted":
-        return None
-    # a search that ran out of budget, or a file that does not hold a
-    # certified morphism of this shape, settles nothing, so search again
-    result = search_uniform_square_free_morphism(src_size, dst_size, image_length)
-    payload = {"status": result.status}
-    if result.morphism is not None:
-        payload["images"] = list(result.morphism.images)
-    _write_json_atomic(path, payload)
-    return result.morphism
-
-
-def _uniform_ternary(image_length: int) -> Morphism | None:
-    fixed = _fixed_uniform_ternary()
-    if image_length in fixed:
-        return fixed[image_length]
-    if image_length in SEARCHED_TERNARY_LENGTHS:
-        return _searched_morphism(3, 3, image_length)
-    return None
-
-
-def _uniform_five_to_three(image_length: int) -> Morphism | None:
-    if image_length in (19, 23, 24):
-        return catalog.get_morphism(f"h{image_length}")
-    if image_length in (18, 22):
-        return _searched_morphism(5, 3, image_length)
-    return None
+@lru_cache(maxsize=1)
+def _uniform_five_to_three() -> dict[int, Morphism]:
+    """The 5->3 catalog maps keyed by image length, in the pipeline's order."""
+    maps = [catalog.get_morphism(name) for name in ("h19", "h23", "h24", "u18", "u22")]
+    return {h.max_image_length: h for h in maps}
 
 
 def _factor_lengths(n: int) -> list[int]:
-    lengths = set(_fixed_uniform_ternary()) | set(SEARCHED_TERNARY_LENGTHS)
-    usable = [d for d in lengths if n % d == 0 and n // d >= 3]
+    usable = [d for d in _uniform_ternary() if n % d == 0 and n // d >= 3]
     return sorted(usable, reverse=True)  # largest divisor = cheapest recursion
 
 
@@ -255,7 +204,14 @@ def _witness_path(n: int) -> Path:
 
 
 def _load_cached(n: int) -> tuple[ShuffleWitness, str] | None:
-    stored = _read_json(_witness_path(n)) or {}
+    # Cache files are input from outside the program: anything but a JSON
+    # object holding a verified witness of length n reads as a miss.
+    try:
+        stored = json.loads(_witness_path(n).read_text())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(stored, dict):
+        return None
     fields = [stored.get(key) for key in ("u", "beta", "w", "strategy")]
     if not all(isinstance(field, str) for field in fields):
         return None
@@ -283,21 +239,15 @@ def _build(n: int) -> tuple[ShuffleWitness, str]:
         return catalog.expand_composition(entry.payload), "composition"
 
     for d in _factor_lengths(n):
-        h = _uniform_ternary(d)
-        if h is None:
-            continue
         try:
             inner, _ = construct_with_strategy(n // d)
         except UnconstructedLengthError:
             continue
-        return apply_morphism_to_witness(inner, h), "factor"
+        return apply_morphism_to_witness(inner, _uniform_ternary()[d]), "factor"
 
     for length in _interval_bases(n):
-        for k in PIPELINE_IMAGE_LENGTHS:
+        for k, h in _uniform_five_to_three().items():
             if length % k or length // k < 3:
-                continue
-            h = _uniform_five_to_three(k)
-            if h is None:
                 continue
             five = sigma5_witness(length // k)
             ternary = apply_morphism_to_witness(five, h)

@@ -17,7 +17,6 @@ from shufflecraft.construct import (
     sigma5_witness,
     substitution_interval_witness,
 )
-from shufflecraft.morphisms import Morphism, SearchResult, search_uniform_square_free_morphism
 from shufflecraft.shuffle import ShuffleWitness, shuffle_conducted
 from shufflecraft.words import is_square_free
 
@@ -160,29 +159,6 @@ def test_factor_beats_interval_for_5202():
     assert witness.verify()
 
 
-def test_cached_budget_outcome_is_searched_again(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
-    calls = []
-
-    def search(*args):
-        calls.append(args)
-        return search_uniform_square_free_morphism(*args)
-
-    monkeypatch.setattr(construct, "search_uniform_square_free_morphism", search)
-    path = tmp_path / "uniform-3-3-1.json"
-    path.write_text(json.dumps({"status": "budget"}))
-    h = construct._searched_morphism(3, 3, 1)
-    assert calls == [(3, 3, 1)]
-    assert h.images == ("0", "1", "2")
-    assert json.loads(path.read_text())["status"] == "found"
-
-    # an exhausted search space is final
-    path = tmp_path / "uniform-3-3-2.json"
-    path.write_text(json.dumps({"status": "exhausted"}))
-    assert construct._searched_morphism(3, 3, 2) is None
-    assert calls == [(3, 3, 1)]
-
-
 def test_unwritable_cache_falls_back_to_computing(tmp_path, monkeypatch, caplog):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -195,34 +171,6 @@ def test_unwritable_cache_falls_back_to_computing(tmp_path, monkeypatch, caplog)
     [record] = [r for r in caplog.records if r.name.startswith("shufflecraft")]
     assert record.levelno == logging.WARNING
     assert str(blocker / "sub" / "witness-00050.json") in record.getMessage()
-
-
-@pytest.mark.parametrize("payload", [
-    {"status": "found"},
-    [1, 2],
-    "found",
-    {"status": "found", "images": ["0", "1"]},
-    {"status": "found", "images": "012"},
-    {"status": "found", "images": [0, 1, 2]},
-    {"status": "found", "images": ["0", "1", "3"]},
-    {"status": "found", "images": ["00", "11", "22"]},
-    {"status": "found", "images": ["0", "0", "0"]},  # right shape, not square-free
-])
-def test_corrupt_uniform_cache_is_searched_again(tmp_path, monkeypatch, payload):
-    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
-    identity = Morphism(3, 3, ("0", "1", "2"))
-    calls = []
-
-    def search(*args):
-        calls.append(args)
-        return SearchResult(identity, "found")
-
-    monkeypatch.setattr(construct, "search_uniform_square_free_morphism", search)
-    path = tmp_path / "uniform-3-3-1.json"
-    path.write_text(json.dumps(payload))
-    assert construct._searched_morphism(3, 3, 1) == identity
-    assert calls == [(3, 3, 1)]
-    assert json.loads(path.read_text()) == {"status": "found", "images": ["0", "1", "2"]}
 
 
 @pytest.mark.parametrize("payload", [
@@ -251,3 +199,25 @@ def test_construct_boundary_rejects_a_bad_build(tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         construct_with_strategy(19)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_reads_uniform_maps_from_the_catalog_only(tmp_path, monkeypatch):
+    # 33, 36 and 39 factor through u11, u12 and u13; 919 and 1123 take the
+    # pipeline through u18 and u22.  No uniform map comes from the cache.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    planted = {
+        "uniform-3-3-11.json": json.dumps({"status": "found", "images": ["0", "0", "0"]}).encode(),
+        "uniform-5-3-22.json": json.dumps({"status": "exhausted"}).encode(),
+    }
+    for name, data in planted.items():
+        (tmp_path / name).write_bytes(data)
+    lengths = (33, 36, 39, 919, 1123)
+    for n in lengths:
+        witness = construct_witness(n)
+        assert len(witness.u) == n
+        assert witness.verify()
+    for name, data in planted.items():
+        assert (tmp_path / name).read_bytes() == data
+    added = {path.name for path in tmp_path.iterdir()} - set(planted)
+    assert all(name.startswith("witness-") and name.endswith(".json") for name in added)
+    assert {f"witness-{n:05d}.json" for n in lengths} <= added

@@ -315,6 +315,11 @@ CATALOG_CERTIFICATES = {
     "h24": ("certified", 3, 105, None),
     "h18": ("certified", 3, 21, None),
     "h17": ("certified", 3, 21, None),
+    "u11": ("certified", 3, 21, None),
+    "u12": ("certified", 3, 21, None),
+    "u13": ("certified", 3, 21, None),
+    "u18": ("certified", 3, 105, None),
+    "u22": ("certified", 3, 105, None),
     "sigma_1": ("certified", 3, 21, None),
     "sigma_2": ("certified", 3, 21, None),
     "sigma_3": ("certified", 3, 21, None),
@@ -375,11 +380,13 @@ def test_search_matches_whole_word_placement_under_budget(src_k, image_length, b
     assert search_uniform_square_free_morphism(src_k, 3, image_length, budget) == expected
 
 
-@pytest.mark.parametrize("src_k, image_length", [(3, 13), (5, 18)])
+@pytest.mark.parametrize("src_k, image_length", [(3, 11), (3, 12), (3, 13), (5, 18)])
 def test_search_matches_whole_word_placement_long_images(src_k, image_length):
     expected = reference_search(src_k, 3, image_length)
     assert expected.status == "found"
     assert search_uniform_square_free_morphism(src_k, 3, image_length) == expected
+    # the catalog stores the search's map for construct to read
+    assert catalog.get_morphism(f"u{image_length}") == expected.morphism
 
 
 @settings(deadline=None, max_examples=150)
