@@ -4,11 +4,10 @@ Everything here is recomputed by backtracking search; nothing is read from
 the stored catalog.  Takes a few seconds.
 """
 
-from shufflecraft import distinct_self_shuffles, enumeration_row, enumerate_square_free
+from shufflecraft import distinct_self_shuffles, enumerate_square_free, enumeration_table
 
 print("per-length counts (square-free / self-shuffle words / operands):")
-for length in range(4, 27, 2):
-    row = enumeration_row(length)
+for row in enumeration_table(26):
     print(
         f"  {row.length:3d}  {row.square_free_count:6d}"
         f"  {row.shuffle_word_count:5d}  {row.shuffleable_u_count:4d}"

@@ -43,7 +43,7 @@ from .morphisms import (
     parse_substitution,
     substitution_test_length,
 )
-from .search import distinct_self_shuffles, enumeration_row, find_self_shuffle_betas, unshuffle_square_free
+from .search import distinct_self_shuffles, enumeration_table, find_self_shuffle_betas, unshuffle_square_free
 from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
 from .words import _ends_in_square, enumerate_square_free, find_square, is_square_free, parikh
 
@@ -144,6 +144,8 @@ def _cmd_shuffle(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_find_beta(args: argparse.Namespace) -> tuple[str, int]:
     u = _digits(args.u, "operand")
+    if args.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {args.limit}")
     limit = None if args.all else args.limit
     found = find_self_shuffle_betas(u, limit=limit)
     if not found:
@@ -163,19 +165,13 @@ def _cmd_unshuffle(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_length < 4:
         raise UsageError(f"enumeration starts at length 4, got {args.max_length}")
-    rows = [enumeration_row(length) for length in range(4, args.max_length + 1, 2)]
+    rows = [dataclasses.astuple(row) for row in enumeration_table(args.max_length)]
     if args.format == "csv":
-        lines = [",".join(ENUMERATION_COLUMNS)]
-        lines += [
-            f"{r.length},{r.square_free_count},{r.shuffle_word_count},{r.shuffleable_u_count}"
-            for r in rows
-        ]
+        lines = [",".join(ENUMERATION_COLUMNS)] + [",".join(map(str, cells)) for cells in rows]
         return "\n".join(lines), 0
     widths = [max(len(h), 6) for h in ENUMERATION_COLUMNS]
     lines = ["  ".join(h.rjust(w) for h, w in zip(ENUMERATION_COLUMNS, widths))]
-    for r in rows:
-        cells = (r.length, r.square_free_count, r.shuffle_word_count, r.shuffleable_u_count)
-        lines.append("  ".join(str(c).rjust(w) for c, w in zip(cells, widths)))
+    lines += ["  ".join(str(c).rjust(w) for c, w in zip(cells, widths)) for cells in rows]
     return "\n".join(lines), 0
 
 
@@ -184,6 +180,8 @@ def _resolve_map(name: str, parse: Callable, get: Callable):
     if path.exists():
         try:
             return parse(path.read_text()), name
+        except OSError as exc:
+            raise UsageError(f"cannot read {name}: {exc.strerror or exc}") from exc
         except ValueError as exc:
             raise UsageError(f"cannot parse {name}: {exc}") from exc
     try:
@@ -222,6 +220,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> tuple[str, int]:
         h = catalog.get_morphism(args.name)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
+    if args.length < 0:
+        raise UsageError(f"--length must be non-negative, got {args.length}")
     try:
         return fixed_point_prefix(h, 0, args.length), 0
     except ValueError as exc:
@@ -296,8 +296,8 @@ def _cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
 # --- scorecard checks -------------------------------------------------------
 
 def _check_enumeration() -> str:
-    for length, *expected in REFERENCE_ENUMERATION:
-        row = enumeration_row(length)
+    rows = enumeration_table(REFERENCE_ENUMERATION[-1][0])
+    for row, (length, *expected) in zip(rows, REFERENCE_ENUMERATION, strict=True):
         got = [row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count]
         if got != expected:
             raise AssertionError(f"length {length}: expected {expected}, got {got}")

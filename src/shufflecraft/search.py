@@ -6,7 +6,13 @@ never extend to a square-free word.  The depth-first searches therefore test
 each appended letter immediately and cut the branch on the first square.
 Where both copies of the operand have given the same number of letters, the
 copies are interchangeable, so the walks take the branch drawing on the
-second copy only as the mirror of the branch drawing on the first.
+second copy only as the mirror of the branch drawing on the first.  So the
+first copy is never behind, and where the operand is unknown, as in the
+count table and unshuffling, the first copy grows it a letter at a time.
+The table's walk keeps a letter only while the operand and the output stay
+square-free.  It walks each operand prefix once for all its extensions, and
+each point where both copies have given the operand so far is a complete
+self-shuffle of it, so one walk to half-length H fills every row up to 2H.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .words import _ends_in_square, count_square_free, enumerate_square_free
+from .words import _ends_in_square, _square_free_counts
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,12 @@ def find_self_shuffle_betas(
             )
             results.extend(mirror if limit is None else islice(mirror, limit - len(results)))
             return
-        if j < n:
-            out.append(u[j])
-            bits.append("1")
-            if not _ends_in_square(out):
-                walk(i, j + 1)
-            out.pop()
-            bits.pop()
+        out.append(u[j])  # j < i <= n: the second copy is never ahead
+        bits.append("1")
+        if not _ends_in_square(out):
+            walk(i, j + 1)
+        out.pop()
+        bits.pop()
 
     walk(0, 0)
     return results
@@ -100,71 +105,76 @@ def distinct_self_shuffles(u: str) -> dict[str, str]:
     return found
 
 
-def _self_shuffle_words(u: str) -> set[str]:
-    # The words of find_self_shuffle_betas(u).  By the copy swap, the
-    # 1-branch of a node where both copies have given the same number of
-    # letters yields the same words as its 0-branch, so it is skipped.
-    n = len(u)
-    words: set[str] = set()
+def _self_shuffles_by_operand(half: int) -> dict[str, set[str]]:
+    # The square-free self-shuffle words of every square-free u with prefix
+    # 01 and 2 <= |u| <= half, keyed by u; operands with none are left out.
+    found: dict[str, set[str]] = {}
+    u: list[str] = []
     out: list[str] = []
 
+    def take(letter: str, i: int, j: int) -> None:
+        out.append(letter)
+        if not _ends_in_square(out):
+            walk(i, j)
+        out.pop()
+
     def walk(i: int, j: int) -> None:
-        if i + j == 2 * n:
-            words.add("".join(out))
-            return
-        if i < n:
-            out.append(u[i])
-            if not _ends_in_square(out):
-                walk(i + 1, j)
-            out.pop()
-        if j < n and i != j:
-            out.append(u[j])
-            if not _ends_in_square(out):
-                walk(i, j + 1)
-            out.pop()
+        if i == j and i:
+            found.setdefault("".join(u), set()).add("".join(out))
+        if i < half:
+            for a in "012" if i > 1 else "01"[i]:
+                u.append(a)
+                if not _ends_in_square(u):
+                    take(a, i + 1, j)
+                u.pop()
+        # Copy swap: with i == j the 1-branch only mirrors the 0-branch.
+        if j < i:
+            take(u[j], i, j + 1)
 
     walk(0, 0)
-    return words
+    return found
+
+
+def enumeration_table(max_length: int) -> list[EnumerationRow]:
+    """The count table: one EnumerationRow per even length 4..max_length.
+
+    The row for length L counts all ternary square-free words of length L,
+    those that are u shuffled with itself for a square-free u of length
+    L/2, and such u.  Renaming the three letters permutes these sets and
+    fixes the prefix-01 word of each orbit, so the walks run over prefix-01
+    words and scale the counts by six.  Two walks fill every row: one
+    counts square-free words at every depth, the other grows u a letter at
+    a time while shuffling two copies of it, so the operands of all rows
+    share the walk through their common prefixes.
+    """
+    if max_length < 4:
+        raise ValueError(f"table rows start at length 4, got {max_length}")
+    half = max_length // 2
+    counts = _square_free_counts(3, 2 * half)
+    by_length: list[list[set[str]]] = [[] for _ in range(half + 1)]
+    for u, shuffles in _self_shuffles_by_operand(half).items():
+        by_length[len(u)].append(shuffles)
+    return [
+        EnumerationRow(2 * k, counts[2 * k], 6 * len(set().union(*by_length[k])), 6 * len(by_length[k]))
+        for k in range(2, half + 1)
+    ]
 
 
 def enumeration_row(length: int) -> EnumerationRow:
-    """Count square-free words of the given even length that are self-shuffles.
-
-    The three counts are: all ternary square-free words of that length, those
-    expressible as u shuffled with itself for square-free u of half length,
-    and the number of such u.  Renaming the three letters permutes all these
-    sets freely and fixes the prefix-01 representative of each orbit, so the
-    search runs over prefix-01 operands and scales the counts by six.
-    """
+    """The row of enumeration_table for one even length, at least 4; it
+    costs the whole table up to that length, as the walks pass every row."""
     if length % 2 != 0:
         raise ValueError(f"table rows have even lengths, got {length}")
-    if length < 4:
-        raise ValueError(f"table rows start at length 4, got {length}")
-    half = length // 2
-
-    square_free_count = count_square_free(3, length)
-
-    shuffle_words: set[str] = set()
-    shuffleable = 0
-    for u in enumerate_square_free(3, half):
-        if not u.startswith("01"):
-            continue
-        words = _self_shuffle_words(u)
-        if words:
-            shuffleable += 1
-            shuffle_words |= words
-    return EnumerationRow(
-        length, square_free_count, 6 * len(shuffle_words), 6 * shuffleable
-    )
+    return enumeration_table(length)[-1]
 
 
 def unshuffle_square_free(w: str) -> tuple[str, str] | None:
     """Decide whether w is a square-free word shuffled with itself.
 
     Backtracks over the two-pointer consumption of w into two copies of an
-    unknown common operand, growing the operand from whichever copy runs
-    ahead and pruning as soon as its prefix picks up a square.  Returns the
-    operand with the least conducting sequence, or None.
+    unknown common operand.  The first copy grows the operand, pruned as
+    soon as it picks up a square, and the second copy matches the letters
+    grown.  Returns the operand with the least conducting sequence, or None.
     """
     if len(w) % 2 != 0:
         return None
@@ -173,43 +183,25 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
     bits: list[str] = []
     best: tuple[str, str] | None = None
 
-    def walk(p: int, i: int, j: int) -> None:
+    def walk(i: int, j: int) -> None:
         nonlocal best
-        if best is not None:
-            return
-        if p == 2 * n:
+        if i + j == 2 * n:
             best = ("".join(u), "".join(bits))
             return
-        c = w[p]
+        c = w[i + j]
         if i < n:
-            if i < len(u):
-                if u[i] == c:
-                    bits.append("0")
-                    walk(p + 1, i + 1, j)
-                    bits.pop()
-            else:
-                u.append(c)
-                bits.append("0")
-                if not _ends_in_square(u):
-                    walk(p + 1, i + 1, j)
-                u.pop()
-                bits.pop()
-        # With i == j the 1-branch mirrors the 0-branch (the copy swap), so
-        # it finds an operand only if the 0-branch did.
-        if best is not None or j >= n or i == j:
-            return
-        if j < len(u):
-            if u[j] == c:
-                bits.append("1")
-                walk(p + 1, i, j + 1)
-                bits.pop()
-        else:
             u.append(c)
-            bits.append("1")
+            bits.append("0")
             if not _ends_in_square(u):
-                walk(p + 1, i, j + 1)
+                walk(i + 1, j)
             u.pop()
             bits.pop()
+        # With i == j the 1-branch mirrors the 0-branch (the copy swap), so
+        # it finds an operand only if the 0-branch did.
+        if best is None and j < i and u[j] == c:
+            bits.append("1")
+            walk(i, j + 1)
+            bits.pop()
 
-    walk(0, 0, 0)
+    walk(0, 0)
     return best

@@ -283,6 +283,31 @@ def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
     yield from rec()
 
 
+def _square_free_counts(alphabet_size: int, max_length: int) -> list[int]:
+    # Entry l counts the square-free words of length l, for all l <= max_length,
+    # from one walk as in count_square_free; with one letter, 01 weighs 0.
+    letters = _letters(alphabet_size)
+    if max_length < 0:
+        raise ValueError("length must be non-negative")
+    m = len(letters)
+    weights = (1, m, m * (m - 1))
+    counts = [0] * (max_length + 1)
+    word: list[str] = []
+
+    def rec() -> None:
+        depth = len(word)
+        counts[depth] += weights[min(depth, 2)]
+        if depth < max_length:
+            for a in letters if depth > 1 else "01"[depth]:
+                word.append(a)
+                if not _ends_in_square(word):
+                    rec()
+                word.pop()
+
+    rec()
+    return counts
+
+
 def count_square_free(alphabet_size: int, length: int) -> int:
     """Number of square-free words of the given length.
 
@@ -293,28 +318,7 @@ def count_square_free(alphabet_size: int, length: int) -> int:
     with 01 and multiplies by the m * (m - 1) pairs a, b, m the alphabet
     size.
     """
-    letters = _letters(alphabet_size)
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    m = len(letters)
-    if length < 2:
-        return m ** length
-    if m < 2:
-        return 0
-    word = ["0", "1"]
-
-    def rec() -> int:
-        if len(word) == length:
-            return 1
-        total = 0
-        for a in letters:
-            word.append(a)
-            if not _ends_in_square(word):
-                total += rec()
-            word.pop()
-        return total
-
-    return m * (m - 1) * rec()
+    return _square_free_counts(alphabet_size, length)[length]
 
 
 def parikh(w: str, alphabet_size: int) -> tuple[int, ...]:

@@ -50,6 +50,14 @@ def test_find_beta_failure_is_exit_1():
     assert code == 1
 
 
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_find_beta_rejects_a_limit_below_1(limit):
+    # 012 has two self-shuffles; a limit below 1 must not report none
+    payload, code = out(["find-beta", "012", "--limit", limit])
+    assert code == 2
+    assert payload.startswith("error:") and "--limit" in payload
+
+
 def test_unshuffle():
     payload, code = out(["unshuffle", "010212"])
     assert code == 0
@@ -97,6 +105,18 @@ def test_certify_morphism_unknown_name():
     assert "nosuch" in payload
 
 
+def test_certify_morphism_unreadable_path_is_usage_error(tmp_path):
+    payload, code = out(["certify-morphism", str(tmp_path)])
+    assert code == 2
+    assert payload.startswith(f"error: cannot read {tmp_path}")
+
+
+def test_certify_substitution_unreadable_path_is_usage_error(tmp_path):
+    payload, code = out(["certify-substitution", str(tmp_path)])
+    assert code == 2
+    assert payload.startswith(f"error: cannot read {tmp_path}")
+
+
 def test_certify_substitution_stretch_golden():
     # 78 = 3 x 26: the count covers the words starting with 1 and 2, which
     # the letter rotation lets the sweep skip
@@ -108,6 +128,12 @@ def test_fixed_point_hall_prefix():
     payload, code = out(["fixed-point", "tau", "--length", "27"])
     assert code == 0
     assert payload == "012021012102012021020121012"
+
+
+def test_fixed_point_rejects_a_negative_length():
+    payload, code = out(["fixed-point", "h18", "--length", "-5"])
+    assert code == 2
+    assert payload.startswith("error:") and "--length" in payload
 
 
 def test_construct_json_golden():

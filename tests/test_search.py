@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shufflecraft.search import (
-    _self_shuffle_words,
+    _self_shuffles_by_operand,
     distinct_self_shuffles,
     enumeration_row,
+    enumeration_table,
     find_self_shuffle_betas,
     unshuffle_square_free,
 )
@@ -70,11 +71,27 @@ def test_enumeration_row_counts():
     assert (row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count) == (18, 0, 0)
 
 
+def test_enumeration_rows_28_and_30():
+    counts = {}
+    for length in (28, 30):
+        row = enumeration_row(length)
+        counts[length] = (row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count)
+    assert counts == {28: (20220, 1494, 294), 30: (34422, 2634, 390)}
+
+
+@pytest.mark.parametrize("max_length", range(4, 22))
+def test_enumeration_table_rows_are_enumeration_rows(max_length):
+    rows = [enumeration_row(length) for length in range(4, max_length + 1, 2)]
+    assert enumeration_table(max_length) == rows
+
+
 def test_enumeration_row_rejects_bad_lengths():
     with pytest.raises(ValueError):
         enumeration_row(7)
     with pytest.raises(ValueError):
         enumeration_row(2)
+    with pytest.raises(ValueError):
+        enumeration_table(3)
 
 
 def test_every_counted_shuffle_word_has_even_parikh():
@@ -160,13 +177,23 @@ def check_walkers(u):
     expected = reference_betas(u)
     for limit in LIMITS:
         assert find_self_shuffle_betas(u, limit) == expected[:limit]
-    assert _self_shuffle_words(u) == {word for _, word in expected}
+    assert {word for _, word in find_self_shuffle_betas(u)} == {word for _, word in expected}
 
 
 @pytest.mark.parametrize("length", range(8))
 def test_walkers_match_brute_force_on_square_free_operands(length):
     for u in enumerate_square_free(3, length):
         check_walkers(u)
+
+
+def test_table_walk_matches_brute_force():
+    # the operands the walk grows to length 7, and the words of each
+    found = _self_shuffles_by_operand(7)
+    operands = [u for length in range(2, 8)
+                for u in enumerate_square_free(3, length) if u.startswith("01")]
+    assert set(found) <= set(operands)
+    for u in operands:
+        assert found.get(u, set()) == {word for _, word in reference_betas(u)}
 
 
 @pytest.mark.parametrize("u", LEVEL_AGAIN)

@@ -9,6 +9,7 @@ from shufflecraft.words import (
     SquareOccurrence,
     _ends_in_square,
     _square_across,
+    _square_free_counts,
     check_word,
     count_square_free,
     enumerate_square_free,
@@ -307,6 +308,13 @@ def test_count_matches_enumeration(length):
 def test_count_matches_enumeration_over_alphabets(k):
     for length in range(10 if k <= 3 else 7):
         assert count_square_free(k, length) == len(list(enumerate_square_free(k, length)))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_counts_at_every_depth_match_enumeration(k):
+    expected = [len(list(enumerate_square_free(k, length))) for length in range(10)]
+    for max_length in range(10):
+        assert _square_free_counts(k, max_length) == expected[:max_length + 1]
 
 
 def test_long_ternary_counts():
