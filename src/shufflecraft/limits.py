@@ -57,12 +57,15 @@ def verify_theorem4(n: int) -> PrefixVerdict:
     b = catalog.get_morphism("B")
     s = catalog.get_morphism("S")
     carrier = _carrier(blocks)
-    for t, letter in enumerate(carrier):
+    # The block check depends on the carrier letter only, so each letter is
+    # checked once, in order of first occurrence; a failure names the first
+    # block that carries the letter.
+    for letter in dict.fromkeys(carrier):
         left = b.images[int(letter)]
         if shuffle_conducted(left, left, _beta_block(letter)) != s.images[int(letter)]:
             return PrefixVerdict(
                 "theorem4", 96 * blocks, False,
-                f"block {t} (carrier letter {letter}): shuffle does not match",
+                f"block {carrier.index(letter)} (carrier letter {letter}): shuffle does not match",
             )
     b_prefix = apply_morphism(b, carrier)
     s_prefix = apply_morphism(s, carrier)

@@ -389,7 +389,18 @@ def search_uniform_square_free_morphism(
     image tuple) is returned.  The budget caps candidate placements; the
     status tells exhaustion of the search space apart from running out of
     budget.
+
+    Backtracking meets the same pair of candidate images many times, so
+    each call keeps the verdict of every two-letter test it has made, one
+    row of verdicts per left candidate, and tests a pair only once.  The
+    result and the budget accounting are those of testing every placement
+    in full.
     """
+    for name, size in (("src_k", src_k), ("dst_k", dst_k)):
+        if not 1 <= size <= 10:
+            raise ValueError(f"{name} must be between 1 and 10, got {size}")
+    if image_length < 1:
+        raise ValueError(f"image_length must be positive, got {image_length}")
     candidates = list(enumerate_square_free(dst_k, image_length))
     if not candidates:
         return SearchResult(None, "exhausted")
@@ -399,38 +410,53 @@ def search_uniform_square_free_morphism(
     # so is the image of every test word shorter than the one at hand (it
     # passed earlier in the list or at an earlier placement), so a square
     # must straddle the last block boundary.
-    test_words: list[list[str]] = []
+    pair_words: list[list[tuple[int, ...]]] = []
+    triple_words: list[list[tuple[int, ...]]] = []
     for j in range(src_k):
-        words = []
-        for length in (2, 3):
-            words += [w for w in enumerate_square_free(j + 1, length) if DIGITS[j] in w]
-        test_words.append(words)
+        pairs, triples = ([tuple(map(int, w)) for w in enumerate_square_free(j + 1, length)
+                           if DIGITS[j] in w] for length in (2, 3))
+        pair_words.append(pairs)
+        triple_words.append(triples)
 
-    images: list[str] = []
+    placed: list[int] = []  # the candidate index of each image placed
+    # verdicts[x][y]: 0 untested, 1 square-free, 2 a square across the
+    # boundary of candidates[x] + candidates[y].  A row is made on first use.
+    verdicts: list[Optional[bytearray]] = [None] * len(candidates)
     spent = 0
 
     def placement_ok(j: int) -> bool:
-        for w in test_words[j]:
-            img = "".join(images[int(a)] for a in w)
-            if _square_across(img, len(img) - image_length):
+        for a, b in pair_words[j]:
+            x, y = placed[a], placed[b]
+            row = verdicts[x]
+            if row is None:
+                row = verdicts[x] = bytearray(len(candidates))
+            verdict = row[y]
+            if not verdict:
+                verdict = row[y] = 2 if _square_across(
+                    candidates[x] + candidates[y], image_length) else 1
+            if verdict == 2:
+                return False
+        for a, b, c in triple_words[j]:
+            img = candidates[placed[a]] + candidates[placed[b]] + candidates[placed[c]]
+            if _square_across(img, 2 * image_length):
                 return False
         return True
 
     def extend() -> Optional[str]:
         nonlocal spent
-        if len(images) == src_k:
+        if len(placed) == src_k:
             return "done"
-        j = len(images)
-        for cand in candidates:
+        j = len(placed)
+        for index in range(len(candidates)):
             if budget is not None and spent >= budget:
                 return "budget"
             spent += 1
-            images.append(cand)
+            placed.append(index)
             if placement_ok(j):
                 outcome = extend()
                 if outcome is not None:
                     return outcome
-            images.pop()
+            placed.pop()
         return None
 
     outcome = extend()
@@ -438,7 +464,7 @@ def search_uniform_square_free_morphism(
         return SearchResult(None, "budget")
     if outcome is None:
         return SearchResult(None, "exhausted")
-    found = Morphism(src_k, dst_k, tuple(images))
+    found = Morphism(src_k, dst_k, tuple(candidates[x] for x in placed))
     cert = certify_square_free_morphism(found)
     if not cert.certified:  # the incremental pruning already is the full test
         raise AssertionError("search produced an uncertifiable morphism")

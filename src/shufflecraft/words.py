@@ -339,8 +339,26 @@ def lex_least_square_free_prefix(alphabet_size: int, n: int) -> str:
 
     Greedy left-to-right choice with backtracking: every letter is the
     least one that still extends to a square-free word of length n.
-    Raises when no square-free word of that length exists.
+    Raises when no square-free word of that length exists.  The backtrack
+    is a loop, not a recursion, so any n fits in the call stack; a new
+    letter is tested only for squares ending with it.
     """
-    for w in enumerate_square_free(alphabet_size, n):
-        return w
-    raise ValueError(f"no square-free word of length {n} over {alphabet_size} letters")
+    letters = _letters(alphabet_size)
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    word = ""
+    choices: list[int] = []  # the letter index at each position of word
+    i = 0  # the next letter index to try at position len(word)
+    while len(word) < n:
+        if i == len(letters):
+            if not word:
+                raise ValueError(f"no square-free word of length {n} over {alphabet_size} letters")
+            word = word[:-1]
+            i = choices.pop() + 1
+        elif _ends_in_square(word + letters[i]):
+            i += 1
+        else:
+            word += letters[i]
+            choices.append(i)
+            i = 0
+    return word

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from shufflecraft import catalog
 from shufflecraft.cli import run
+from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.shuffle import ShuffleWitness
 
 
@@ -217,3 +219,17 @@ def test_unknown_command_is_usage_error():
 def test_missing_required_flag_is_usage_error():
     _, code = out(["construct"])
     assert code == 2
+
+
+# Square-free, and deeper than the call stack allows the walkers to go.
+LONG_WORD = fixed_point_prefix(catalog.get_morphism("h18"), 0, 600)
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-beta", LONG_WORD],
+    ["unshuffle", LONG_WORD + LONG_WORD],
+])
+def test_input_too_deep_for_the_walkers_is_usage_error(argv):
+    payload, code = out(argv)
+    assert code == 2
+    assert payload == "error: input too long for the depth-first search"

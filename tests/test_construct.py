@@ -42,6 +42,12 @@ def test_sigma5_various_lengths_verify():
         assert w.verify()
 
 
+def test_sigma5_past_the_recursion_limit():
+    w = sigma5_witness(1202)
+    assert len(w.u) == 1202
+    assert w.verify()
+
+
 def test_lift_through_certified_morphism():
     w3 = catalog.get_witness("w3")
     sigma6 = catalog.get_morphism("sigma_6")

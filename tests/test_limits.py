@@ -1,6 +1,6 @@
 import pytest
 
-from shufflecraft import catalog
+from shufflecraft import catalog, limits
 from shufflecraft.limits import (
     PrefixVerdict,
     verify_abelian_periodicity,
@@ -33,6 +33,25 @@ def test_theorem4_block_zero_matches_stored_image():
     s = catalog.get_morphism("S")
     beta = "".join(catalog.get_beta(f"beta{j}") for j in "1013")
     assert shuffle_conducted(b.images[0], b.images[0], beta) == s.images[0]
+
+
+def test_theorem4_checks_each_carrier_letter_block_once(monkeypatch):
+    original = limits._beta_block
+    calls = []
+    corrupt = set()
+
+    def patched(letter):
+        calls.append(letter)
+        return original("0" if letter in corrupt else letter)
+
+    monkeypatch.setattr(limits, "_beta_block", patched)
+    assert verify_theorem4(10_000).holds
+    assert calls == ["0", "1", "2"]
+    # the carrier starts 012..., so letter 2 first shows up in block 2, and
+    # letter 0's conducting block makes the shuffle miss S(2)
+    corrupt.add("2")
+    assert verify_theorem4(10_000) == PrefixVerdict(
+        "theorem4", 9984, False, "block 2 (carrier letter 2): shuffle does not match")
 
 
 def test_theorem4_below_one_block_is_vacuous():

@@ -389,6 +389,18 @@ def test_search_matches_whole_word_placement_long_images(src_k, image_length):
     assert catalog.get_morphism(f"u{image_length}") == expected.morphism
 
 
+def test_search_finds_the_longest_catalog_map():
+    assert search_uniform_square_free_morphism(5, 3, 22).morphism == catalog.get_morphism("u22")
+
+
+@pytest.mark.parametrize("args, name", [
+    ((3, 3, 0), "image_length"), ((0, 3, 5), "src_k"), ((11, 3, 5), "src_k"),
+    ((3, 0, 5), "dst_k"), ((3, 11, 5), "dst_k")])
+def test_search_rejects_bad_arguments_up_front(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        search_uniform_square_free_morphism(*args)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.lists(image_sets, min_size=3, max_size=3), st.integers(3, 4))
 def test_substitution_certificate_matches_product_order(sets, length):

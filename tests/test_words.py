@@ -377,3 +377,20 @@ def test_lex_least_prefix_is_least(n):
 
 def test_lex_least_prefix_opening():
     assert lex_least_square_free_prefix(3, 9) == "010201202"
+
+
+@pytest.mark.parametrize("alphabet_size", [1, 2, 3, 4])
+def test_lex_least_prefix_matches_first_enumerated_word(alphabet_size):
+    for n in range(0, 301 if alphabet_size > 2 else 6):
+        first = next(iter(enumerate_square_free(alphabet_size, n)), None)
+        if first is None:
+            with pytest.raises(ValueError, match="no square-free word"):
+                lex_least_square_free_prefix(alphabet_size, n)
+        else:
+            assert lex_least_square_free_prefix(alphabet_size, n) == first
+
+
+def test_lex_least_prefix_past_the_recursion_limit():
+    word = lex_least_square_free_prefix(3, 2000)
+    assert len(word) == 2000
+    assert is_square_free(word)
