@@ -16,6 +16,7 @@ import random
 import sys
 import time
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -112,7 +113,8 @@ class UsageError(Exception):
 
 
 def _digits(text: str, what: str) -> str:
-    if not all(c.isdigit() for c in text):
+    # str.isdigit alone also accepts the digits of other scripts, such as ² and ٣.
+    if text and not (text.isascii() and text.isdigit()):
         raise UsageError(f"{what} must be a string of digits, got {text!r}")
     return text
 
@@ -544,6 +546,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines), 0 if failures == 0 else 1
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shufflecraft",
@@ -618,9 +621,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> CommandResult:
-    parser = _build_parser()
+    """Run one command in-process and return its exit code and payload.
+
+    The parser is built on the first call and reused by every later one, and
+    each subcommand's handler is bound to it when it is built: to change what
+    a command does, patch what its handler calls, not the handler itself.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(int(exc.code or 0), "")
     try:

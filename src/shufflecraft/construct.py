@@ -33,6 +33,8 @@ from .shuffle import ShuffleWitness, lift_conducting, shuffle_conducted, verify_
 from .words import enumerate_square_free, lex_least_square_free_prefix
 
 CACHE_ENV = "SHUFFLECRAFT_CACHE_DIR"
+# Written into every cache file; a file of any other version reads as a miss.
+CACHE_VERSION = 1
 
 STRATEGIES = (
     "base",
@@ -205,12 +207,13 @@ def _witness_path(n: int) -> Path:
 
 def _load_cached(n: int) -> tuple[ShuffleWitness, str] | None:
     # Cache files are input from outside the program: anything but a JSON
-    # object holding a verified witness of length n reads as a miss.
+    # object of this cache version holding a verified witness of length n
+    # reads as a miss.
     try:
         stored = json.loads(_witness_path(n).read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(stored, dict):
+    if not isinstance(stored, dict) or stored.get("version") != CACHE_VERSION:
         return None
     fields = [stored.get(key) for key in ("u", "beta", "w", "strategy")]
     if not all(isinstance(field, str) for field in fields):
@@ -225,7 +228,8 @@ def _load_cached(n: int) -> tuple[ShuffleWitness, str] | None:
 def _store(n: int, witness: ShuffleWitness, strategy: str) -> None:
     _write_json_atomic(
         _witness_path(n),
-        {"n": n, "u": witness.u, "beta": witness.beta, "w": witness.w, "strategy": strategy},
+        {"version": CACHE_VERSION, "n": n, "u": witness.u, "beta": witness.beta,
+         "w": witness.w, "strategy": strategy},
     )
 
 

@@ -128,6 +128,8 @@ def verify_abelian_periodicity(n: int, p: int, word: Optional[str] = None) -> Pr
     Defaults to the 48-uniform image of the tau fixed point, whose 48-blocks
     each hold 16 of every letter.  n is rounded down to whole blocks.
     """
+    if n < 0:
+        raise ValueError(f"prefix length must be non-negative, got {n}")
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
     blocks = n // p

@@ -1,11 +1,17 @@
 """Exit-code discipline and output shapes of the command line."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shufflecraft import catalog
-from shufflecraft.cli import run
+import shufflecraft
+from shufflecraft import catalog, cli
+from shufflecraft.cli import main, run
 from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.shuffle import ShuffleWitness
 
@@ -33,6 +39,19 @@ def test_squarefree_rejects_non_digits():
     payload, code = out(["squarefree", "0a0"])
     assert code == 2
     assert payload.startswith("error:")
+
+
+@pytest.mark.parametrize("word", ["²²", "٣٣", "0²"])
+def test_squarefree_rejects_non_ascii_digits(word):
+    assert out(["squarefree", word]) == (f"error: word must be a string of digits, got {word!r}", 2)
+
+
+def test_unshuffle_rejects_non_ascii_digits():
+    assert out(["unshuffle", "²²"]) == ("error: word must be a string of digits, got '²²'", 2)
+
+
+def test_squarefree_empty_word():
+    assert out(["squarefree", ""]) == ("square-free", 0)
 
 
 def test_find_beta_default_limit():
@@ -199,6 +218,11 @@ def test_verify_abelian_uses_period():
     assert code == 0
 
 
+def test_verify_abelian_rejects_a_negative_prefix():
+    assert out(["verify", "abelian", "--prefix", "-5"]) == (
+        "error: prefix length must be non-negative, got -5", 2)
+
+
 def test_catalog_verify_passes():
     payload, code = out(["catalog", "verify"])
     assert code == 0
@@ -233,3 +257,70 @@ def test_input_too_deep_for_the_walkers_is_usage_error(argv):
     payload, code = out(argv)
     assert code == 2
     assert payload == "error: input too long for the depth-first search"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["squarefree", "0102"], 0),
+    (["squarefree", "00"], 1),
+    (["squarefree", "0a0"], 2),
+])
+def test_main_prints_the_payload_and_returns_the_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    printed = run(argv).payload + "\n"
+    assert (captured.out, captured.err) == (("", printed) if code == 2 else (printed, ""))
+
+
+def fresh(argv):
+    """run(argv) in a new interpreter, so no earlier call has used its parser."""
+    script = (
+        "import json, sys\n"
+        "from shufflecraft.cli import run\n"
+        "result = run(sys.argv[1:])\n"
+        "print(json.dumps([result.payload, result.exit_code]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflecraft.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("first, second", [
+    (["find-beta", "012", "--limit", "2"], ["find-beta", "012"]),
+    (["find-beta", "012", "--all", "--limit", "2"], ["find-beta", "012", "--all"]),
+    (["squarefree"], ["squarefree", "0102"]),
+    (["construct", "--length", "19", "--json"], ["construct", "--length", "19"]),
+    (["enumerate", "--max-length", "8", "--format", "csv"], ["enumerate", "--max-length", "8"]),
+])
+def test_a_reused_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, first, second):
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    back_to_back = [out(first), out(second)]
+    assert back_to_back == [fresh(first), fresh(second)]
+
+
+def test_reused_parser_evaluates_defaults_and_exclusions_per_call():
+    assert out(["find-beta", "012", "--limit", "2"])[0].count("\n") == 1
+    assert out(["find-beta", "012"]) == ("001011 -> 010212", 0)
+    assert out(["find-beta", "012", "--all", "--limit", "2"]) == ("", 2)
+    assert out(["find-beta", "012", "--all"])[1] == 0
+    assert out(["squarefree"]) == ("", 2)
+    assert out(["squarefree", "0102"]) == ("square-free", 0)
+    assert out(["squarefree", "--help"]) == ("", 0)
+    assert out(["squarefree", "0102"]) == ("square-free", 0)
+
+
+def test_five_runs_build_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "shufflecraft":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for argv in (["squarefree", "0102"], ["squarefree", "00"], ["find-beta", "012"],
+                 ["unshuffle", "010212"], ["frobnicate"]):
+        run(argv)
+    assert len(built) == 1

@@ -133,6 +133,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert cache_dir() == tmp_path
     construct_witness(19)
     stored = json.loads((tmp_path / "witness-00019.json").read_text())
+    assert stored["version"] == construct.CACHE_VERSION
     assert stored["strategy"] == "base"
     assert len(stored["u"]) == 19
 
@@ -194,6 +195,24 @@ def test_corrupt_witness_cache_is_a_miss(tmp_path, monkeypatch, payload):
     assert strategy == "base"
     assert witness.verify()
     assert json.loads(path.read_text())["u"] == witness.u
+
+
+@pytest.mark.parametrize("version", [None, 2])
+def test_other_cache_versions_are_a_miss(tmp_path, monkeypatch, version):
+    # A verified witness under another strategy label: a hit would return
+    # the label, a miss rebuilds from the stored base table.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    good = catalog.base_witnesses()[19]
+    payload = {"n": 19, "u": good.u, "beta": good.beta, "w": good.w, "strategy": "composition"}
+    if version is not None:
+        payload["version"] = version
+    path = tmp_path / "witness-00019.json"
+    path.write_text(json.dumps(payload))
+    witness, strategy = construct_with_strategy(19)
+    assert (witness, strategy) == (good, "base")
+    stored = json.loads(path.read_text())
+    assert stored["version"] == construct.CACHE_VERSION
+    assert stored["strategy"] == "base"
 
 
 def test_construct_boundary_rejects_a_bad_build(tmp_path, monkeypatch):

@@ -125,6 +125,16 @@ def test_abelian_word_shorter_than_blocks():
         verify_abelian_periodicity(10, 2, word="010")
 
 
+@pytest.mark.parametrize("word", [None, "012012"])
+def test_abelian_rejects_a_negative_prefix(word):
+    with pytest.raises(ValueError, match="prefix length must be non-negative, got -5"):
+        verify_abelian_periodicity(-5, 48, word=word)
+
+
+def test_abelian_empty_prefix_holds():
+    assert verify_abelian_periodicity(0, 48) == PrefixVerdict("abelian", 0, True)
+
+
 def test_lyndon_example_holds():
     verdict = verify_lyndon_example()
     assert verdict.holds
