@@ -51,16 +51,11 @@ def check_word(w: str, alphabet_size: int) -> str:
 
 
 # Halves up to this length are found by byte-wise XOR, one window of the word
-# at a time; longer ones by the anchor scan, whose anchors thin out as the
-# half grows.
+# at a time; longer ones by the band scan, which finds the _RUN letters from
+# each grid point again with bytes.find and tests only the halves found.
 _SHORT_HALF = 64
-# A square of half h anchored at q has its run of h matches w[j] == w[j + h]
-# cover q and, for each 0 < e < h, q + e or q + e - h.  The anchor scan tests
-# these offsets e, all below the shortest half it handles.
-_PROBES = (1, 3, 7, 15, 31, 63)
-_MISMATCH = bytes(1) + b"\xff" * 255  # XOR byte -> 0 on a match, 255 otherwise
 _WINDOW = 1 << 14  # letters per window of the short-half pass
-_BATCH = 1 << 11  # halves per batch of the anchor scan
+_RUN = 32  # at most _SHORT_HALF + 1, so each grid step a - _RUN + 1 is positive
 # Letters before a boundary that _square_across looks up with str.rfind to
 # find the long halves of squares ending just past it.
 _TAIL = 8
@@ -119,23 +114,12 @@ def _anchored_start(w, p: int, half: int) -> int:
     return p - b if w[p + f:p + need] == w[p + half + f:p + half + need] else -1
 
 
-def _column_mismatch(data: bytes, k: int, lo: int, hi: int, e: int) -> int:
-    # Byte t of the result, read big-endian over hi - lo + 1 bytes, is 0 iff
-    # data[k*h + e] == data[(k+1)*h + e] for h = lo + t, and 255 otherwise.
-    size = hi - lo + 1
-    left = data[k * lo + e:k * hi + e + 1:k] if k else data[e:e + 1] * size
-    right = data[(k + 1) * lo + e:(k + 1) * hi + e + 1:k + 1]
-    x = int.from_bytes(left, "big") ^ int.from_bytes(right, "big")
-    return int.from_bytes(x.to_bytes(size, "big").translate(_MISMATCH), "big")
-
-
 def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
     # The leftmost square, shortest half at that start; with first=True any
-    # square, returned as soon as one is seen.  Scratch memory stays a few
-    # windows and batches, not copies of the whole word.
+    # square, returned as soon as one is seen.  Scratch memory is one byte
+    # per letter, a window and slices no longer than a half.
     n = len(w)
-    padded = _letter_bytes(w) + bytes(_PROBES[-1] + 1)
-    data = memoryview(padded)[:n]
+    data = _letter_bytes(w)
     best: Optional[SquareOccurrence] = None
     best_start = n
     short = min(_SHORT_HALF, n // 2)
@@ -156,53 +140,52 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
         if best is not None:
             break
 
-    # Longer halves: a square's run of h matches covers exactly one anchor
-    # q = k*h.  The anchor tests run for one k and a batch of halves at
-    # once, on the letters k*h + e and (k+1)*h + e taken as strided byte
-    # columns; only anchors that match at q and pass every probe get the
-    # exact test.  No square anchored at k starts before (k-1)*h + 1, which
-    # bounds h once a square is known.  A shorter half at the best start can
-    # still turn up at a later k, as k = ceil(start / h) grows when h
-    # shrinks, so ties at one start go to the shorter half.  The padding
-    # only adds false matches, which the exact test rejects.
-    for lo in range(short + 1, n // 2 + 1, _BATCH):
-        previous: list[int] = []
-        k = 0
-        while True:
-            hi = min(lo + _BATCH - 1, n // 2, (n - 1) // (k + 1))
-            if k > 1:
-                hi = min(hi, (best_start - 1) // (k - 1))
-            if hi < lo:
+    # Longer halves, band by band: halves [a, b) on a grid of step
+    # a - _RUN + 1.  A square of half h in the band starting at s has its
+    # run of h matches w[j] == w[j + h] cover the first grid point q >= s
+    # and, as q + _RUN <= s + a <= s + h, the _RUN letters from it.  So
+    # those letters recur at q + h, and bytes.find over the band lists the
+    # halves to test; the run also covers [q, s + h), which rejects most of
+    # them before the exact test.  Once a square is known, a better one
+    # starts before it: the same start with a shorter half was met first,
+    # at the same q or in an earlier band.  So the grid stops past
+    # best_start + step - 1, and from best_start on the letters looked up
+    # begin at best_start - 1, which a repetitive tail does not repeat.
+    a = short + 1
+    while a <= n // 2:
+        step = a - _RUN + 1
+        b = min(a + step, n // 2 + 1)
+        for q in range(0, n - a - _RUN + 1, step):
+            if q - step >= best_start:
                 break
-            size = hi - lo + 1
-            flags = _column_mismatch(padded, k, lo, hi, 0)
-            masks = [_column_mismatch(padded, k, lo, hi, e) for e in _PROBES]
-            for i, mask in enumerate(masks):
-                if previous:  # a match at q + e - h is anchor k - 1's match at its q + e
-                    mask &= previous[i] >> (8 * (previous_size - size))
-                flags |= mask
-            found = flags.to_bytes(size, "big")
-            t = found.find(0)
-            while t >= 0:
-                half = lo + t
-                start = _anchored_start(data, k * half, half)
-                if 0 <= start and (best is None or (start, half) < best):
-                    best_start, best = start, SquareOccurrence(start, half)
-                    if first or start == 0:
-                        return best
-                t = found.find(0, t + 1)
-            previous, previous_size = masks, size
-            k += 1
+            lo = q if q < best_start else best_start - 1
+            z = data[lo:q + _RUN]
+            end = q + b - 1 + _RUN
+            j = data.find(z, lo + a, end)
+            while j >= 0:
+                half = j - lo
+                far = q + half - step + 1  # s > q - step: the run covers [q, far)
+                if data[q:far] == data[q + half:far + half]:
+                    start = _anchored_start(data, q, half)
+                    if 0 <= start and (best is None or (start, half) < best):
+                        best_start, best = start, SquareOccurrence(start, half)
+                        if first or start == 0:
+                            return best
+                j = data.find(z, j + 1, end)
+        a = b
     return best
 
 
 def is_square_free(w: str) -> bool:
     """True iff w contains no factor uu with u non-empty.
 
-    Cost: O(n log n) anchor steps for a word of length n, with no quadratic
-    case.  Halves up to 64 letters take one byte-wise pass over the word
-    each; longer halves test their anchors as byte columns, one anchor
-    multiple at a time, and only the anchors that pass are extended.
+    Cost: O(n log n) bytes.find calls and candidate halves for a word of
+    length n, each candidate tested in O(log n) steps, so no input is
+    quadratic in interpreted steps.  Halves up to 64 letters take one
+    byte-wise pass over the word each.  Longer halves are taken in bands
+    of about doubling width: the 32 letters from each point of a grid are
+    looked up within the band, and only the halves at which they recur
+    get the exact test.
     """
     return _leftmost_square(w, first=True) is None
 
@@ -211,8 +194,10 @@ def find_square(w: str) -> Optional[SquareOccurrence]:
     """Earliest square in w, or None.
 
     Among occurrences the one with minimal start wins; ties go to the
-    minimal half length.  One pass at the cost of is_square_free:
-    O(n log n) anchor steps, with no quadratic case.
+    minimal half length.  One pass at the cost of is_square_free.  Once a
+    square is known, each band scans the grid only to one step past its
+    start, and past the start looks up letters from just before it, so a
+    repetitive tail after the first square costs little.
     """
     return _leftmost_square(w)
 

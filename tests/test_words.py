@@ -172,15 +172,30 @@ def test_long_squares_sharing_a_start(half, extra):
         assert expected.half_length == half
 
 
-def test_kernel_across_window_and_batch_edges(monkeypatch):
-    # shrunk windows and batches put squares across their edges
+def plant(start, half, tail=""):
+    """An h18 prefix of start letters, its last one changed to 3, then u u
+    with u the next half letters, then tail: the 3 keeps the run of uu from
+    reaching back, so the leftmost square starts at start."""
+    u = H18_WORD[start:start + half]
+    prefix = H18_WORD[:start - 1] + "3" if start else ""
+    return prefix + u + u + tail
+
+
+def test_kernel_across_window_band_and_grid_edges(monkeypatch):
+    # A shrunk window puts short squares across its edges; _RUN = 2 makes
+    # the long-half bands [65, 129) and [129, 257) on grids of step 64 and
+    # 128, so their edges fall inside words of a few hundred letters.
     monkeypatch.setattr(words, "_WINDOW", 37)
-    monkeypatch.setattr(words, "_BATCH", 5)
+    monkeypatch.setattr(words, "_RUN", 2)
     for start, half in [(36, 64), (73, 64), (36, 1), (40, 63)]:
         # the longest short half, starting on a window's last letter
-        u = H18_WORD[start:start + half]
-        w = H18_WORD[:start] + u + u
+        w = plant(start, half)
         assert find_square(w) == brute_find_square(w)
+    for half in (64, 65, 128, 129, 256, 257):  # a - 1, a, b - 1, b of both bands
+        for start in (63, 64, 65, 127, 128, 129):  # q - 1, q, q + 1 of grid points
+            w = plant(start, half)
+            assert find_square(w) == SquareOccurrence(start, half) == brute_find_square(w)
+            assert not is_square_free(w)
     rng = random.Random(7)
     for _ in range(300):
         start = rng.randrange(2000)
@@ -191,6 +206,60 @@ def test_kernel_across_window_and_batch_edges(monkeypatch):
         expected = brute_find_square(w)
         assert find_square(w) == expected
         assert is_square_free(w) == (expected is None)
+
+
+def band_scan_cases():
+    """Words for the long-half scan: h18 factors with planted long squares;
+    a square-free prefix then a unary, period-3 or period-100 tail; words
+    over 10 letters; and non-ASCII letters, which are renamed to bytes."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        start = rng.randrange(1500)
+        factor = H18_WORD[start:start + rng.randint(10, 250)]
+        w = factor + factor[-rng.randint(1, len(factor)):]
+        cases.append(w + H18_WORD[start + len(factor):][:rng.randint(0, 30)])
+    for half in (9, 14, 15, 26, 27, 33, 64, 65, 66, 97, 98, 99, 130, 131):
+        for start in rng.sample(range(140), 4):
+            cases.append(plant(start, half, H18_WORD[:rng.randint(0, 8)]))
+        cases.append(plant(0, half))  # the whole word, half n // 2
+        # u opens with a letter then a doubled letter, so a short square
+        # starts one letter after the long one
+        u = H18_WORD[half + 1:2 * half + 1]
+        u = u[:2] + u[1] + u[3:]
+        cases.append(H18_WORD[:half + 1] + u + u)
+    for size in (40, 150, 400):
+        prefix = H18_WORD[500:500 + size]
+        period = H18_WORD[900:1000]
+        for tail in ("1" * 300, "012" * 100, period * 3):
+            cases.append(prefix + tail)
+    for letters in ("0123456789", "aéα€ßжñøλ\U0001d11e"):
+        # Renamed by its position modulo 3, h18 stays square-free: letters
+        # at distances not divisible by 3 never match.
+        renamed = "".join(letters[3 * (i % 3) + int(c)] for i, c in enumerate(H18_WORD[:600]))
+        for _ in range(15):
+            start = rng.randrange(300)
+            factor = renamed[start:start + rng.randint(10, 250)]
+            w = factor + factor[-rng.randint(1, len(factor)):]
+            cases.append(w + letters[9] * rng.randint(0, 2))
+        cases.append("".join(rng.choice(letters) for _ in range(200)))
+    return cases
+
+
+BAND_SCAN_CASES = band_scan_cases()
+
+
+@pytest.mark.parametrize("short, run", [(64, 32), (64, 2), (64, 4), (8, 2), (8, 4), (3, 4)])
+def test_band_scan_matches_brute_force(monkeypatch, short, run):
+    # As shipped, and with _RUN (and the short-half limit) shrunk so that
+    # many band and grid edges fall inside these words; (3, 4) gives a grid
+    # of step 1 in the first band.
+    monkeypatch.setattr(words, "_SHORT_HALF", short)
+    monkeypatch.setattr(words, "_RUN", run)
+    for w in BAND_SCAN_CASES:
+        expected = brute_find_square(w)
+        assert find_square(w) == expected, w
+        assert is_square_free(w) == (expected is None), w
 
 
 @given(st.text(alphabet="012", min_size=1, max_size=30), st.data())
