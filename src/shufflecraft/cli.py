@@ -639,7 +639,7 @@ def run(argv: Optional[list[str]] = None) -> CommandResult:
         return CommandResult(1, f"error: {exc}")
     except ValueError as exc:
         return CommandResult(2, f"error: {exc}")
-    except RecursionError:
+    except RecursionError:  # certify_square_free_morphism's walk recurses per letter
         return CommandResult(2, "error: input too long for the depth-first search")
     return CommandResult(code, payload)
 

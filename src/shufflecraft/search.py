@@ -4,8 +4,10 @@ Everything here rests on one pruning rule: square-freeness is closed under
 taking factors, so a partial shuffle output that already contains a square can
 never extend to a square-free word.  The depth-first searches therefore test
 each appended letter immediately and cut the branch on the first square.
+One walker serves every search.  It keeps its path on an explicit stack, so
+the length of a word is bounded by memory, not by the call stack.
 Where both copies of the operand have given the same number of letters, the
-copies are interchangeable, so the walks take the branch drawing on the
+copies are interchangeable, so the walk takes the branch drawing on the
 second copy only as the mirror of the branch drawing on the first.  So the
 first copy is never behind, and where the operand is unknown, as in the
 count table and unshuffling, the first copy grows it a letter at a time.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator
 
 from .words import _ends_in_square, _square_free_counts
 
@@ -37,6 +40,60 @@ class EnumerationRow:
 _SWAP_COPIES = str.maketrans("01", "10")
 
 
+def _walk(u: str | list[str], out: str | list[str], bits: list[str]) -> Iterator[int]:
+    # The one depth-first walk over the self-shuffles of an operand u of
+    # length n = len(u), on an explicit stack of moves into states (i, j):
+    # the first copy has given i letters of u, the second j <= i.  u and out
+    # are each a str the caller gives, which is not checked, or a list of n
+    # or 2n slots that the walk fills and keeps square-free; it fills bits,
+    # 2n slots, with the conducting sequence.  In state (i, j) the first i,
+    # i + j and i + j slots are current.  The first copy gives u[i] when u
+    # is given, else out[i + j] when out is, else 0, 1 or 2 after the
+    # prefix 01; the second copy gives u[j].  Yields i on entering each
+    # level state (i, i), a complete self-shuffle when i == n, and ~i once
+    # the 0-branch below a level state i < n is walked.
+    n = len(u)
+    grow_u, grow_out = isinstance(u, list), isinstance(out, list)
+    stack: list[tuple] = [(0, 0, "", "")]
+    while stack:
+        i, j, a, b = stack.pop()
+        if b is None:
+            yield ~i
+            continue
+        while True:  # enter (i, j) by the move giving a from copy b
+            if b:
+                d = i + j - 1
+                if grow_u and b == "0":
+                    u[i - 1] = a
+                    if _ends_in_square(u, i):
+                        break
+                if grow_out:
+                    out[d] = a
+                    if _ends_in_square(out, d + 1):
+                        break
+                bits[d] = b
+            if i == j:  # copy swap: the 1-branch is the 0-branch mirrored
+                yield i
+                if i == n:
+                    break
+                stack.append((i, j, "", None))  # popped once the 0-branch is walked
+            elif grow_out or u[j] == out[i + j]:
+                stack.append((i, j + 1, u[j], "1"))
+            if i == n:
+                break
+            # the least first-copy move is entered without a trip through the stack
+            if not grow_u:
+                a = u[i]
+            elif not grow_out:
+                a = out[i + j]
+            elif i > 1:
+                stack += (i + 1, j, "2", "0"), (i + 1, j, "1", "0")
+                a = "0"
+            else:
+                a = "01"[i]
+            i, b = i + 1, "0"
+
+
 def find_self_shuffle_betas(
     u: str, limit: int | None = None
 ) -> list[tuple[str, str]]:
@@ -52,42 +109,25 @@ def find_self_shuffle_betas(
     The walk visits only the 0-branch there and lists the 1-branch as its
     mirror; the order and the limit cut-off are those of the full walk.
     """
-    n = len(u)
     results: list[tuple[str, str]] = []
-    out: list[str] = []
-    bits: list[str] = []
-
-    def walk(i: int, j: int) -> None:
-        if limit is not None and len(results) >= limit:
-            return
-        if i + j == 2 * n:
-            results.append(("".join(bits), "".join(out)))
-            return
-        # 0 before 1 keeps the output list in ascending beta order
-        first = len(results)
-        if i < n:
-            out.append(u[i])
-            bits.append("0")
-            if not _ends_in_square(out):
-                walk(i + 1, j)
-            out.pop()
-            bits.pop()
-        if i == j:  # copy swap: the 1-branch is the 0-branch mirrored
-            d = i + j
+    if limit is not None and limit <= 0:
+        return results
+    out, bits = [""] * (2 * len(u)), [""] * (2 * len(u))
+    firsts: list[int] = []  # where each open level state's results start
+    for i in _walk(u, out, bits):
+        if i < 0:  # the 0-branch is done; its mirror follows it in beta order
+            d = 2 * ~i
             mirror = (
                 (beta[:d] + beta[d:].translate(_SWAP_COPIES), word)
-                for beta, word in reversed(results[first:])
+                for beta, word in reversed(results[firsts.pop():])
             )
             results.extend(mirror if limit is None else islice(mirror, limit - len(results)))
-            return
-        out.append(u[j])  # j < i <= n: the second copy is never ahead
-        bits.append("1")
-        if not _ends_in_square(out):
-            walk(i, j + 1)
-        out.pop()
-        bits.pop()
-
-    walk(0, 0)
+        elif i < len(u):
+            firsts.append(len(results))
+        else:
+            results.append(("".join(bits), "".join(out)))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 
@@ -109,29 +149,10 @@ def _self_shuffles_by_operand(half: int) -> dict[str, set[str]]:
     # The square-free self-shuffle words of every square-free u with prefix
     # 01 and 2 <= |u| <= half, keyed by u; operands with none are left out.
     found: dict[str, set[str]] = {}
-    u: list[str] = []
-    out: list[str] = []
-
-    def take(letter: str, i: int, j: int) -> None:
-        out.append(letter)
-        if not _ends_in_square(out):
-            walk(i, j)
-        out.pop()
-
-    def walk(i: int, j: int) -> None:
-        if i == j and i:
-            found.setdefault("".join(u), set()).add("".join(out))
-        if i < half:
-            for a in "012" if i > 1 else "01"[i]:
-                u.append(a)
-                if not _ends_in_square(u):
-                    take(a, i + 1, j)
-                u.pop()
-        # Copy swap: with i == j the 1-branch only mirrors the 0-branch.
-        if j < i:
-            take(u[j], i, j + 1)
-
-    walk(0, 0)
+    u, out = [""] * half, [""] * (2 * half)
+    for i in _walk(u, out, out.copy()):  # the sequences go unread
+        if i > 0:
+            found.setdefault("".join(u[:i]), set()).add("".join(out[:2 * i]))
     return found
 
 
@@ -178,30 +199,8 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
     """
     if len(w) % 2 != 0:
         return None
-    n = len(w) // 2
-    u: list[str] = []
-    bits: list[str] = []
-    best: tuple[str, str] | None = None
-
-    def walk(i: int, j: int) -> None:
-        nonlocal best
-        if i + j == 2 * n:
-            best = ("".join(u), "".join(bits))
-            return
-        c = w[i + j]
-        if i < n:
-            u.append(c)
-            bits.append("0")
-            if not _ends_in_square(u):
-                walk(i + 1, j)
-            u.pop()
-            bits.pop()
-        # With i == j the 1-branch mirrors the 0-branch (the copy swap), so
-        # it finds an operand only if the 0-branch did.
-        if best is None and j < i and u[j] == c:
-            bits.append("1")
-            walk(i, j + 1)
-            bits.pop()
-
-    walk(0, 0)
-    return best
+    u, bits = [""] * (len(w) // 2), [""] * len(w)
+    for i in _walk(u, w, bits):
+        if 2 * i == len(w):
+            return "".join(u), "".join(bits)
+    return None

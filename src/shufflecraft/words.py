@@ -202,13 +202,14 @@ def find_square(w: str) -> Optional[SquareOccurrence]:
     return _leftmost_square(w)
 
 
-def _ends_in_square(word) -> bool:
-    # True iff the list or string word ends in a square.  The last letter
-    # is compared first, so most halves are rejected without slicing.
-    m = len(word)
-    last = word[-1]
+def _ends_in_square(word, m: int | None = None) -> bool:
+    # True iff the list or string word[:m], by default all of word, ends in
+    # a square.  The last letter is compared first, so most halves are
+    # rejected without slicing.
+    m = len(word) if m is None else m
+    last = word[m - 1]
     for half in range(1, m // 2 + 1):
-        if word[m - 1 - half] == last and word[m - half:] == word[m - 2 * half:m - half]:
+        if word[m - 1 - half] == last and word[m - half:m] == word[m - 2 * half:m - half]:
             return True
     return False
 

@@ -13,7 +13,8 @@ import shufflecraft
 from shufflecraft import catalog, cli
 from shufflecraft.cli import main, run
 from shufflecraft.morphisms import fixed_point_prefix
-from shufflecraft.shuffle import ShuffleWitness
+from shufflecraft.shuffle import ShuffleWitness, shuffle_conducted
+from shufflecraft.words import is_square_free
 
 
 def out(argv):
@@ -245,18 +246,33 @@ def test_missing_required_flag_is_usage_error():
     assert code == 2
 
 
-# Square-free, and deeper than the call stack allows the walkers to go.
+# Square-free and 600 letters long: the self-shuffle walker keeps its path on
+# an explicit stack, so it answers far past the depth of the call stack.
 LONG_WORD = fixed_point_prefix(catalog.get_morphism("h18"), 0, 600)
 
 
-@pytest.mark.parametrize("argv", [
-    ["find-beta", LONG_WORD],
-    ["unshuffle", LONG_WORD + LONG_WORD],
-])
-def test_input_too_deep_for_the_walkers_is_usage_error(argv):
-    payload, code = out(argv)
-    assert code == 2
-    assert payload == "error: input too long for the depth-first search"
+def test_find_beta_answers_on_a_long_operand():
+    payload, code = out(["find-beta", LONG_WORD])
+    assert code == 0
+    beta, word = payload.split(" -> ")
+    assert shuffle_conducted(LONG_WORD, LONG_WORD, beta) == word
+    assert is_square_free(word)
+
+
+def test_unshuffle_answers_on_a_long_word():
+    payload, code = out(["unshuffle", LONG_WORD + LONG_WORD])
+    assert code == 0
+    assert payload == f"u = {LONG_WORD}\nbeta = {'0' * 600}{'1' * 600}"
+
+
+def test_recursion_error_in_a_handler_is_usage_error(monkeypatch):
+    # certify_square_free_morphism's walk recurses once per source letter, up to
+    # the Crochemore bound, so it is the one walk left that can run this deep
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "certify_square_free_morphism", too_deep)
+    assert out(["certify-morphism", "h18"]) == ("error: input too long for the depth-first search", 2)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -111,6 +111,7 @@ def test_kernel_matches_brute_force(w):
     if w:
         assert _ends_in_square(w) == brute_ends_in_square(w)
         assert _ends_in_square(list(w)) == brute_ends_in_square(w)
+        assert _ends_in_square(list(w) + list(w), len(w)) == brute_ends_in_square(w)
 
 
 @settings(deadline=None, max_examples=60)
