@@ -46,7 +46,7 @@ from .morphisms import (
 )
 from .search import distinct_self_shuffles, enumeration_table, find_self_shuffle_betas, unshuffle_square_free
 from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
-from .words import _ends_in_square, enumerate_square_free, find_square, is_square_free, parikh
+from .words import _square_free_words, enumerate_square_free, find_square, is_square_free, parikh
 
 ENUMERATION_COLUMNS = ("length", "square_free_count", "shuffle_word_count", "shuffleable_u_count")
 
@@ -432,37 +432,24 @@ REDUCED_NEXT = {"0": "13", "1": "02", "2": "13", "3": "02"}
 
 def _reduced_square_free(max_length: int):
     """All nonempty square-free words over 0..3 avoiding 02, 20, 13, 31."""
-    word: list[str] = []
-
-    def rec():
-        if word:
-            yield "".join(word)
-        if len(word) == max_length:
-            return
-        for c in REDUCED_NEXT[word[-1]] if word else "0123":
-            word.append(c)
-            if not _ends_in_square(word):
-                yield from rec()
-            word.pop()
-
-    yield from rec()
+    walk = _square_free_words("0123", max_length)
+    for w in walk:
+        if len(w) > 1 and w[-1] not in REDUCED_NEXT[w[-2]]:
+            walk.send(True)
+        else:
+            yield w
 
 
 def _sample_reduced(rng: random.Random, length: int) -> str:
     while True:
-        word = [rng.choice("0123")]
+        word = rng.choice("0123")
         while len(word) < length:
-            options = []
-            for c in REDUCED_NEXT[word[-1]]:
-                word.append(c)
-                if not _ends_in_square(word):
-                    options.append(c)
-                word.pop()
+            options = [c for c in REDUCED_NEXT[word[-1]] if is_square_free(word + c)]
             if not options:
                 break
-            word.append(rng.choice(options))
+            word += rng.choice(options)
         if len(word) == length:
-            return "".join(word)
+            return word
 
 
 def _check_properties() -> str:
@@ -639,8 +626,6 @@ def run(argv: Optional[list[str]] = None) -> CommandResult:
         return CommandResult(1, f"error: {exc}")
     except ValueError as exc:
         return CommandResult(2, f"error: {exc}")
-    except RecursionError:  # certify_square_free_morphism's walk recurses per letter
-        return CommandResult(2, "error: input too long for the depth-first search")
     return CommandResult(code, payload)
 
 

@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Sequence
 from .words import (
     DIGITS,
     SquareOccurrence,
-    _ends_in_square,
     _square_across,
+    _square_free_words,
     check_word,
     enumerate_square_free,
     find_square,
@@ -164,20 +164,21 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
 
     The letter images are tested first, then the images of the square-free
     two-letter words in order, each by the squares across its one block
-    boundary.  Then one depth-first walk over source letters visits the
-    longer square-free source words, and each image is its parent's image
-    plus one block, so only squares across the newest block boundary are
-    tested.  A failure caps the walk below its own length, so the
-    refutation and checked_count are those of testing every length in
-    turn, shortest first.  A refuted map costs at most what certifying a
-    map with the same bound does, and a failing two-letter word is found
-    without the walk.
+    boundary.  Then the depth-first walk over square-free words, which
+    keeps its path on an explicit stack, visits the longer source words,
+    and each image is its parent's image plus one block, so only squares
+    across the newest block boundary are tested.  The walk's depth is
+    bounded by memory, not by the call stack, but its time grows
+    exponentially with the bound.  A failure caps the walk below its own
+    length, so the refutation and checked_count are those of testing every
+    length in turn, shortest first.  A refuted map costs at most what
+    certifying a map with the same bound does, and a failing two-letter
+    word is found without the walk.
     """
     bound = crochemore_bound(h)
     subject = subject or morphism_text(h, sep=", ")
     letters = DIGITS[:h.src_size]
     counts = [0] * (bound + 1)  # square-free source words visited per length
-    word: list[str] = []
     cap = bound
     failure: Optional[tuple[str, int]] = None  # (word, its rank at its length)
     for a, block in enumerate(h.images):
@@ -196,31 +197,25 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
                 failure, cap = (letters[a] + letters[b], rank), 1
                 break
 
-    def walk(prefix: str, first: int) -> None:
-        nonlocal cap, failure
-        depth = len(word) + 1
-        for a in letters:
-            if depth > cap:
-                return
-            word.append(a)
-            if not _ends_in_square(word):
-                counts[depth] += 1
-                block = h.images[int(a)]
-                image = prefix + block
-                # Past the two-letter words, tested before the walk, the
-                # images of the shorter source words are square-free unless
-                # a shorter failure exists, which then wins; so a square
-                # must run from the first block into the last one, across
-                # the last block boundary.
-                shortest = (len(image) - first - len(block) + 3) // 2
-                if depth > 2 and _square_across(image, len(prefix), shortest):
-                    failure = ("".join(word), counts[depth])
-                    cap = depth - 1
-                elif depth < cap:
-                    walk(image, first or len(block))
-            word.pop()
-
-    walk("", 0)
+    images = [""] * (bound + 1)  # images[d]: the image of the walk's word of length d
+    walk = _square_free_words(letters, cap)
+    for w in walk:
+        depth = len(w)
+        if depth <= cap:
+            counts[depth] += 1
+            prefix = images[depth - 1]
+            block = h.images[int(w[-1])]
+            image = images[depth] = prefix + block
+            # Past the two-letter words, tested before the walk, the images
+            # of the shorter source words are square-free unless a shorter
+            # failure exists, which then wins; so a square must run from the
+            # first block into the last one, across the last block boundary.
+            shortest = (len(image) - len(images[1]) - len(block) + 3) // 2
+            if depth > 2 and _square_across(image, len(prefix), shortest):
+                failure = (w, counts[depth])
+                cap = depth - 1
+        if depth >= cap:
+            walk.send(True)
     if failure is None:
         return Certificate(subject, "certified", bound, sum(counts))
     w, rank = failure
@@ -344,20 +339,26 @@ def _first_failing_choices(s: Substitution, w: str, clean: set[str]) -> Optional
     # square-free.  A new block is square-free by itself when it is in
     # clean, so only squares across its left boundary remain to test.
     blocks = [s.image_sets[int(a)] for a in w]
-    choices: list[int] = []
-
-    def walk(prefix: str) -> bool:
-        if len(choices) == len(blocks):
-            return False
-        for c, block in enumerate(blocks[len(choices)]):
-            choices.append(c)
+    choices: list[int] = []  # choices[d]: the image chosen for w[d], above the level tried
+    prefixes = [""]  # prefixes[d]: the image of w[:d] under those choices
+    levels = [iter(enumerate(blocks[0]))] if blocks else []
+    while levels:
+        for c, block in levels[-1]:
+            prefix = prefixes[-1]
             image = prefix + block
-            if block not in clean or _square_across(image, len(prefix)) or walk(image):
-                return True
-            choices.pop()
-        return False
-
-    return choices if walk("") else None
+            if block not in clean or _square_across(image, len(prefix)):
+                return choices + [c]
+            if len(levels) < len(blocks):
+                choices.append(c)
+                prefixes.append(image)
+                levels.append(iter(enumerate(blocks[len(levels)])))
+                break
+        else:
+            levels.pop()
+            if levels:
+                choices.pop()
+                prefixes.pop()
+    return None
 
 
 def fixed_point_prefix(h: Morphism, seed: int, n: int) -> str:

@@ -6,7 +6,7 @@ The empty word counts as square-free.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Generator, Iterator, NamedTuple, Optional
 
 __all__ = [
     "SquareOccurrence",
@@ -249,49 +249,55 @@ def _square_across(x: str, m: int, shortest: int = 1) -> bool:
     return False
 
 
+def _square_free_words(letters: str, limit: int,
+                       start: str = "") -> Generator[Optional[str], Optional[bool], None]:
+    # Every square-free word of at most limit letters that properly extends
+    # the square-free word start, depth first in letter order.  The path is
+    # kept on an explicit stack of letter iterators, one per level below
+    # start, so any limit fits in the call stack.  Sending True after a word
+    # skips its extensions; the send returns None, and the caller's loop goes
+    # on with the next word.
+    word = start
+    levels = [iter(letters)] if len(word) < limit else []
+    while levels:
+        for a in levels[-1]:
+            child = word + a
+            if not _ends_in_square(child):
+                if (yield child):
+                    yield None
+                elif len(child) < limit:
+                    word = child
+                    levels.append(iter(letters))
+                    break
+        else:
+            levels.pop()
+            word = word[:-1]
+
+
 def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
     """Yield all square-free words of exactly this length, lexicographically."""
     letters = _letters(alphabet_size)
     if length < 0:
         raise ValueError("length must be non-negative")
-    word: list[str] = []
-
-    def rec() -> Iterator[str]:
-        if len(word) == length:
-            yield "".join(word)
-            return
-        for a in letters:
-            word.append(a)
-            if not _ends_in_square(word):
-                yield from rec()
-            word.pop()
-
-    yield from rec()
+    if length == 0:
+        yield ""
+    for w in _square_free_words(letters, length):
+        if len(w) == length:
+            yield w
 
 
 def _square_free_counts(alphabet_size: int, max_length: int) -> list[int]:
     # Entry l counts the square-free words of length l, for all l <= max_length,
-    # from one walk as in count_square_free; with one letter, 01 weighs 0.
+    # from one walk over the words starting with 01 as in count_square_free.
     letters = _letters(alphabet_size)
     if max_length < 0:
         raise ValueError("length must be non-negative")
     m = len(letters)
-    weights = (1, m, m * (m - 1))
-    counts = [0] * (max_length + 1)
-    word: list[str] = []
-
-    def rec() -> None:
-        depth = len(word)
-        counts[depth] += weights[min(depth, 2)]
-        if depth < max_length:
-            for a in letters if depth > 1 else "01"[depth]:
-                word.append(a)
-                if not _ends_in_square(word):
-                    rec()
-                word.pop()
-
-    rec()
-    return counts
+    pairs = m * (m - 1)  # with one letter, 01 weighs 0
+    counts = [1, m, pairs] + [0] * (max_length - 2)
+    for w in _square_free_words(letters, max_length, "01"):
+        counts[len(w)] += pairs
+    return counts[:max_length + 1]
 
 
 def count_square_free(alphabet_size: int, length: int) -> int:
@@ -323,28 +329,15 @@ def is_lyndon(w: str) -> bool:
 def lex_least_square_free_prefix(alphabet_size: int, n: int) -> str:
     """Lexicographically least square-free word of length n.
 
-    Greedy left-to-right choice with backtracking: every letter is the
-    least one that still extends to a square-free word of length n.
-    Raises when no square-free word of that length exists.  The backtrack
-    is a loop, not a recursion, so any n fits in the call stack; a new
-    letter is tested only for squares ending with it.
+    The first word that enumerate_square_free yields, so the first of
+    length n in the depth-first walk over square-free words in letter
+    order: every letter is the least one that still extends to a
+    square-free word of length n.  Raises when no square-free word of that
+    length exists.  The walk keeps its path on an explicit stack, so any n
+    fits in the call stack; a new letter is tested only for squares ending
+    with it.
     """
-    letters = _letters(alphabet_size)
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    word = ""
-    choices: list[int] = []  # the letter index at each position of word
-    i = 0  # the next letter index to try at position len(word)
-    while len(word) < n:
-        if i == len(letters):
-            if not word:
-                raise ValueError(f"no square-free word of length {n} over {alphabet_size} letters")
-            word = word[:-1]
-            i = choices.pop() + 1
-        elif _ends_in_square(word + letters[i]):
-            i += 1
-        else:
-            word += letters[i]
-            choices.append(i)
-            i = 0
+    word = next(enumerate_square_free(alphabet_size, n), None)
+    if word is None:
+        raise ValueError(f"no square-free word of length {n} over {alphabet_size} letters")
     return word

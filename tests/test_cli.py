@@ -265,16 +265,6 @@ def test_unshuffle_answers_on_a_long_word():
     assert payload == f"u = {LONG_WORD}\nbeta = {'0' * 600}{'1' * 600}"
 
 
-def test_recursion_error_in_a_handler_is_usage_error(monkeypatch):
-    # certify_square_free_morphism's walk recurses once per source letter, up to
-    # the Crochemore bound, so it is the one walk left that can run this deep
-    def too_deep(*args, **kwargs):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, "certify_square_free_morphism", too_deep)
-    assert out(["certify-morphism", "h18"]) == ("error: input too long for the depth-first search", 2)
-
-
 @pytest.mark.parametrize("argv, code", [
     (["squarefree", "0102"], 0),
     (["squarefree", "00"], 1),

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shufflecraft import catalog, morphisms
+from shufflecraft import catalog, morphisms, words
 from shufflecraft.morphisms import (
     Certificate,
     Morphism,
@@ -23,7 +25,14 @@ from shufflecraft.morphisms import (
     substitution_test_length,
     substitution_text,
 )
-from shufflecraft.words import DIGITS, SquareOccurrence, enumerate_square_free, is_square_free
+from shufflecraft.words import (
+    DIGITS,
+    SquareOccurrence,
+    enumerate_square_free,
+    find_square,
+    is_square_free,
+    lex_least_square_free_prefix,
+)
 
 HALL = Morphism(3, 3, ("012", "02", "1"))
 
@@ -213,6 +222,18 @@ def test_certify_substitution_small():
     bad = Substitution(3, 3, (("00",), ("1",), ("2",)))
     cert = certify_square_free_substitution(bad)
     assert not cert.certified
+    # a source word deeper than the default call stack: the first image
+    # that fails doubles the last 2 of the least square-free word
+    bad = Substitution(3, 3, (("0",), ("1",), ("2", "22")))
+    cert = certify_square_free_substitution(bad, test_word_length=1200)
+    w, occ = cert.counterexample
+    assert (cert.verdict, cert.checked_count) == ("refuted", 1)
+    assert w == lex_least_square_free_prefix(3, 1200)
+    last = w.rindex("2")
+    image = w[:last] + "22" + w[last + 1:]
+    square = image[occ.start:occ.start + 2 * occ.half_length]
+    assert square[:occ.half_length] == square[occ.half_length:] and len(square) == 2 * occ.half_length
+    assert occ == find_square(image)
 
 
 def test_check_substitution_properties_identity():
@@ -293,12 +314,13 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     images[1] += images[2][:extra]
     h = Morphism(3, 3, tuple(images))
     tested = []
-    ends_in_square = morphisms._ends_in_square
-    monkeypatch.setattr(morphisms, "_ends_in_square", lambda w: tested.append(w) or ends_in_square(w))
+    ends_in_square = words._ends_in_square
+    monkeypatch.setattr(words, "_ends_in_square", lambda w: tested.append(w) or ends_in_square(w))
     cert = certify_square_free_morphism(h)
+    # read before the reference, which enumerates through the same walk
+    assert len(tested) == 3
     assert cert == reference_certify_morphism(h)
     assert cert.counterexample[0] in ("10", "12")
-    assert len(tested) == 3
 
 
 # (verdict, bound_used, checked_count, counterexample) of every catalog
@@ -340,12 +362,28 @@ CATALOG_CERTIFICATES = {
 }
 
 
+def call_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def test_catalog_certificates_are_frozen():
     names = {name for name in catalog.entry_names()
              if catalog.get_entry(name).kind == "morphism"}
     assert names == set(CATALOG_CERTIFICATES)
+    maps = {name: catalog.get_morphism(name) for name in CATALOG_CERTIFICATES}
+    # 15 frames to spare: a walk that took a frame per source letter would
+    # overflow on sigma_17, whose bound is 27
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(call_depth() + 15)
+    try:
+        certs = {name: certify_square_free_morphism(h, subject=name) for name, h in maps.items()}
+    finally:
+        sys.setrecursionlimit(limit)
     for name, expected in CATALOG_CERTIFICATES.items():
-        cert = certify_square_free_morphism(catalog.get_morphism(name), subject=name)
+        cert = certs[name]
         assert cert.subject == name
         assert (cert.verdict, cert.bound_used, cert.checked_count, cert.counterexample) == expected
 

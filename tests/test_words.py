@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -364,6 +365,31 @@ def test_enumeration_is_sorted_and_complete():
     assert words[0] == "0102"
 
 
+@pytest.mark.parametrize("k, start", [(k, start) for k in range(1, 5)
+                                      for start in ("", "0", "01") if k > 1 or start != "01"])
+def test_square_free_walk_matches_brute_force(k, start):
+    # every square-free proper extension of start up to the limit, in
+    # depth-first letter order, which is sorted order; pruned words keep
+    # their place and lose exactly their extensions
+    letters = "0123"[:k]
+    rng = random.Random(f"{k}/{start}")
+    for limit in range(8):
+        expected = sorted(start + "".join(t)
+                          for n in range(1, limit - len(start) + 1)
+                          for t in itertools.product(letters, repeat=n)
+                          if is_square_free(start + "".join(t)))
+        for share in (0, 0.2, 0.5):
+            pruned = {w for w in expected if rng.random() < share}
+            walk = words._square_free_words(letters, limit, start)
+            seen = []
+            for w in itertools.islice(walk, len(expected) + 1):
+                seen.append(w)
+                if w in pruned:
+                    assert walk.send(True) is None
+            assert seen == [w for w in expected
+                            if not any(w.startswith(p) and w != p for p in pruned)]
+
+
 def test_binary_square_free_words_die_out():
     assert count_square_free(2, 3) == 2  # 010 and 101
     assert count_square_free(2, 4) == 0
@@ -464,3 +490,4 @@ def test_lex_least_prefix_past_the_recursion_limit():
     word = lex_least_square_free_prefix(3, 2000)
     assert len(word) == 2000
     assert is_square_free(word)
+    assert next(enumerate_square_free(3, 1500)) == lex_least_square_free_prefix(3, 1500)
