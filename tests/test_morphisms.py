@@ -314,8 +314,9 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     images[1] += images[2][:extra]
     h = Morphism(3, 3, tuple(images))
     tested = []
-    ends_in_square = words._ends_in_square
-    monkeypatch.setattr(words, "_ends_in_square", lambda w: tested.append(w) or ends_in_square(w))
+    starts_with_square = words._starts_with_square
+    monkeypatch.setattr(words, "_starts_with_square",
+                        lambda rev: tested.append(rev) or starts_with_square(rev))
     cert = certify_square_free_morphism(h)
     # read before the reference, which enumerates through the same walk
     assert len(tested) == 3

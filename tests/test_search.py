@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shufflecraft import catalog
+from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.search import (
     _self_shuffles_by_operand,
     distinct_self_shuffles,
@@ -225,3 +227,15 @@ def unshuffle_inputs(draw):
 @example("012012012012")
 def test_unshuffle_matches_brute_force(w):
     assert unshuffle_square_free(w) == reference_unshuffle(w)
+
+
+def test_walkers_answer_on_a_long_operand():
+    # 1,200 letters: the walk backtracks over long reversed copies, which
+    # each move cuts back to its state; the output is checked by the
+    # byte-wise kernel, which shares no code with the walk's square test
+    u = fixed_point_prefix(catalog.get_morphism("h18"), 0, 1200)
+    [(beta, word)] = find_self_shuffle_betas(u, limit=1)
+    assert shuffle_conducted(u, u, beta) == word
+    assert is_square_free(word)
+    v, gamma = unshuffle_square_free(word)
+    assert shuffle_conducted(v, v, gamma) == word

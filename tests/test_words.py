@@ -8,9 +8,9 @@ from shufflecraft import catalog, words
 from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
     SquareOccurrence,
-    _ends_in_square,
     _square_across,
     _square_free_counts,
+    _starts_with_square,
     check_word,
     count_square_free,
     enumerate_square_free,
@@ -104,24 +104,48 @@ def test_find_square_agrees_with_is_square_free(w):
         assert w[start : start + half] == w[start + half : start + 2 * half]
 
 
-@given(st.text(alphabet="012", max_size=40))
+def ends_in_square(w):
+    """The walkers' suffix test: a square starts the reversed word."""
+    return _starts_with_square(w[::-1])
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet="0123"[:k], max_size=40)))
 def test_kernel_matches_brute_force(w):
     expected = brute_find_square(w)
     assert find_square(w) == expected
     assert is_square_free(w) == (expected is None)
-    if w:
-        assert _ends_in_square(w) == brute_ends_in_square(w)
-        assert _ends_in_square(list(w)) == brute_ends_in_square(w)
-        assert _ends_in_square(list(w) + list(w), len(w)) == brute_ends_in_square(w)
+    # w and each of its prefixes, as a walk grows w a letter at a time
+    for k in range(len(w) + 1):
+        assert ends_in_square(w[:k]) == brute_ends_in_square(w[:k])
+
+
+def examples(words):
+    """Run a @given test on each of words as well."""
+    def decorate(test):
+        for w in words:
+            test = example(w)(test)
+        return test
+    return decorate
+
+
+# Inputs a per-half test finds hard: unary words; a period-2 word that a
+# new letter ends; a square-free factor x followed by x[:-1] and each
+# letter c, one of which closes the long square xx.  Also a square whose
+# half holds a newline, a letter like any other.
+ADVERSARIAL = (["0" * n for n in (2, 3, 301)] + ["0\n0\n"]
+               + ["01" * k + "2" for k in (1, 2, 150)]
+               + [H18_WORD[s:s + n] + H18_WORD[s:s + n - 1] + c
+                  for s, n in ((0, 70), (900, 260)) for c in "012"])
 
 
 @settings(deadline=None, max_examples=60)
 @given(long_half_words())
+@examples(ADVERSARIAL)
 def test_kernel_matches_brute_force_on_long_halves(w):
     expected = brute_find_square(w)
     assert find_square(w) == expected
     assert is_square_free(w) == (expected is None)
-    assert _ends_in_square(w) == brute_ends_in_square(w)
+    assert ends_in_square(w) == brute_ends_in_square(w)
 
 
 def test_long_half_square_is_found_exactly():
