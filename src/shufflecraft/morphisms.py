@@ -299,12 +299,13 @@ def certify_square_free_substitution(
     props_ok = all(check_substitution_properties(s))
     clean = {img for images in s.image_sets for img in images if is_square_free(img)}
     classes = _rotation_classes(s) if length else 1
+    known: dict = {}  # short boundary verdicts, shared by the whole sweep
     checked = 0
     for w in enumerate_square_free(s.src_size, length):
         if classes > 1 and w[0] != "0":
             break
         checked += 1
-        failing = _first_failing_choices(s, w, clean)
+        failing = _first_failing_choices(s, w, clean, known)
         if failing is not None:
             # Every image under this choice prefix has a square, so its
             # completion by choice 0 is the first failing image in the
@@ -332,7 +333,8 @@ def _rotation_classes(s: Substitution) -> int:
     return k
 
 
-def _first_failing_choices(s: Substitution, w: str, clean: set[str]) -> Optional[list[int]]:
+def _first_failing_choices(s: Substitution, w: str, clean: set[str],
+                           known: dict) -> Optional[list[int]]:
     # Depth-first over image choices for the letters of w, sharing each
     # image prefix among all its completions.  Returns the least choice
     # prefix whose image has a square, or None when every image of w is
@@ -346,7 +348,7 @@ def _first_failing_choices(s: Substitution, w: str, clean: set[str]) -> Optional
         for c, block in levels[-1]:
             prefix = prefixes[-1]
             image = prefix + block
-            if block not in clean or _square_across(image, len(prefix)):
+            if block not in clean or _square_across(image, len(prefix), 1, known):
                 return choices + [c]
             if len(levels) < len(blocks):
                 choices.append(c)
@@ -484,6 +486,8 @@ def parse_morphism(text: str) -> Morphism:
         if letter in images:
             raise ValueError(f"duplicate image for letter {letter}")
         images[letter] = right.strip()
+    if not images:
+        raise ValueError("no letter images")
     if sorted(images) != list(range(len(images))):
         raise ValueError("source letters must be 0..k-1 without gaps")
     ordered = tuple(images[a] for a in sorted(images))
@@ -511,6 +515,8 @@ def parse_substitution(text: str) -> Substitution:
         if letter in sets:
             raise ValueError(f"duplicate image set for letter {letter}")
         sets[letter] = images
+    if not sets:
+        raise ValueError("no letter images")
     if sorted(sets) != list(range(len(sets))):
         raise ValueError("source letters must be 0..k-1 without gaps")
     ordered = tuple(sets[a] for a in sorted(sets))

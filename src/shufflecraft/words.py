@@ -221,7 +221,22 @@ def _starts_with_square(rev: str) -> bool:
     return _SQUARE_PREFIX.match(rev) is not None
 
 
-def _square_across(x: str, m: int, shortest: int = 1) -> bool:
+def _short_across(x: str, m: int, shortest: int, reach: int) -> bool:
+    # The halves of _square_across found letter by letter: every half with
+    # m in its left half, and halves up to reach with m in its right half.
+    n = len(x)
+    for half in range(shortest, n - m):
+        if x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
+            return True
+    for half in range(shortest, reach + 1):
+        p = m - half
+        if x[p] == x[m] and _anchored_start(x, p, half) >= 0:
+            return True
+    return False
+
+
+def _square_across(x: str, m: int, shortest: int = 1,
+                   known: Optional[dict] = None) -> bool:
     # True iff x has a square with half at least shortest, given that x[:m]
     # and x[m:] are square-free and m < len(x).  Such a square straddles m:
     # its run of matches covers m when m falls in its left half, and
@@ -234,14 +249,25 @@ def _square_across(x: str, m: int, shortest: int = 1) -> bool:
     # and the last _TAIL letters before m, z, also end at p.  Those halves
     # come from the occurrences of z, found by str.rfind, shortest half
     # first; no half above m - _TAIL - 1 has room for them.
+    #
+    # known, when given, keeps the verdicts of _short_across by the window
+    # x[lo:], lo = max(0, m - 2 * reach), with n - m and shortest.  The
+    # window is all that _short_across reads: when lo > 0, reach is
+    # n - m + _TAIL, the second loop reads back to m - 2 * half >= lo and
+    # the first, with half < n - m < reach, to m - half + 1; and
+    # m - lo = 2 * reach > half, so the backward cap of _anchored_start is
+    # half - 1 in the window as in x.  The long halves below read all of x.
     n = len(x)
-    for half in range(shortest, n - m):
-        if x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
-            return True
-    for half in range(shortest, min(m, n // 2, n - m + _TAIL) + 1):
-        p = m - half
-        if x[p] == x[m] and _anchored_start(x, p, half) >= 0:
-            return True
+    reach = min(m, n // 2, n - m + _TAIL)
+    if known is None:
+        short = _short_across(x, m, shortest, reach)
+    else:
+        key = (x[max(0, m - 2 * reach):], n - m, shortest)
+        short = known.get(key)
+        if short is None:
+            short = known[key] = _short_across(x, m, shortest, reach)
+    if short:
+        return True
     low = max(shortest, n - m + _TAIL + 1)
     high = min(n // 2, m - _TAIL - 1)
     if low <= high:

@@ -139,6 +139,13 @@ def test_certify_substitution_unreadable_path_is_usage_error(tmp_path):
     assert payload.startswith(f"error: cannot read {tmp_path}")
 
 
+@pytest.mark.parametrize("command", ["certify-morphism", "certify-substitution"])
+def test_empty_map_file_is_usage_error(tmp_path, command):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert out([command, str(path)]) == (f"error: cannot parse {path}: no letter images", 2)
+
+
 def test_certify_substitution_stretch_golden():
     # 78 = 3 x 26: the count covers the words starting with 1 and 2, which
     # the letter rotation lets the sweep skip
@@ -289,6 +296,13 @@ def fresh(argv):
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env, check=True)
     return tuple(json.loads(proc.stdout))
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(shufflecraft.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "shufflecraft", "squarefree", "00"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "square at (0, 1): 0\n")
 
 
 @pytest.mark.parametrize("first, second", [

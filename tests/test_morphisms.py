@@ -191,6 +191,12 @@ def test_parse_morphism_rejects_gaps():
         parse_morphism("0 -> 01\n0 -> 10")
 
 
+@pytest.mark.parametrize("parse", [parse_morphism, parse_substitution])
+def test_parsers_reject_text_without_images(parse):
+    with pytest.raises(ValueError, match="no letter images"):
+        parse(" \n\n")
+
+
 def test_substitution_application():
     s = Substitution(2, 3, (("0", "00"), ("1",)))
     assert sorted(apply_substitution(s, "01")) == ["001", "01"]
@@ -495,9 +501,9 @@ def count_sweeps(monkeypatch):
     swept = []
     first_failing = morphisms._first_failing_choices
 
-    def counting(s, w, clean):
+    def counting(s, w, *rest):
         swept.append(w)
-        return first_failing(s, w, clean)
+        return first_failing(s, w, *rest)
 
     monkeypatch.setattr(morphisms, "_first_failing_choices", counting)
     return swept
@@ -546,3 +552,29 @@ def test_rotation_needs_one_alphabet(monkeypatch):
 def test_one_letter_substitution_matches_product_order(images, length):
     s = Substitution(1, 1, (images,))
     assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)
+
+
+def test_refutation_through_a_window_of_an_earlier_word(monkeypatch):
+    # Images u18(3), u18(40), u18(1201), u18(2): the first failing image of
+    # the sweep is that of 123, u18(4012012), whose only square has half 54
+    # (that of u18(012012), moved left), above 18 + _TAIL.  The square
+    # starts before the window of its last boundary, and the earlier word
+    # 023 has left that window in the sweep's memo with no short square,
+    # so the refutation comes from the long halves after a memo hit.
+    tested = []
+    short_across = words._short_across
+
+    def recording(x, *rest):
+        tested.append(x)
+        return short_across(x, *rest)
+
+    monkeypatch.setattr(words, "_short_across", recording)
+    u18 = catalog.get_morphism("u18")
+    s = Substitution(4, 3, tuple((apply_morphism(u18, v),) for v in ("3", "40", "1201", "2")))
+    cert = certify_square_free_substitution(s, 3)
+    assert cert == reference_certify_substitution(s, 3)
+    assert cert.checked_count == 15 and cert.counterexample == ("123", SquareOccurrence(13, 54))
+    early, late = (substitute_with_choices(s, w, [0, 0, 0]) for w in ("023", "123"))
+    window = 2 * (18 + words._TAIL) + 18
+    assert early[-window:] == late[-window:] and 13 < len(late) - window
+    assert is_square_free(early) and early in tested and late not in tested

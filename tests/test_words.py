@@ -361,6 +361,98 @@ def test_square_across_planted_long_halves(monkeypatch, tail):
     assert through_rfind >= 100
 
 
+@st.composite
+def boundary_streams(draw):
+    """Boundary tests that share windows: square-free parts over 2 or 3
+    letters and a least half.  Each test splits one of a few base words at
+    one of its boundaries and keeps a suffix, so one window recurs at
+    boundaries of different absolute positions, one word is split at
+    different boundaries, and windows are clamped by the start of the
+    word.  A base word is a binary one, an h18 factor and a right part, or
+    b u u t from h18 images of square-free words with its boundaries in
+    the second u, so that squares of half |u| cross the boundary with most
+    of their right half before it."""
+    h18 = catalog.get_morphism("h18")
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["binary", "factor", "planted"]))
+        if kind == "binary":
+            w = draw(st.sampled_from(["010", "101", "01", "10"]))
+            ms = range(1, len(w))
+        elif kind == "factor":
+            left, right, _ = draw(long_boundaries())
+            if not is_square_free(right):
+                continue
+            w, ms = left + right, [len(left)]
+        else:
+            v = draw(st.sampled_from(["01", "012", "0121", "01210"]))
+            b = draw(st.sampled_from([c for c in "012" if c != v[0]]))
+            a = draw(st.sampled_from([c for c in "012" if c not in (v[0], v[-1])]))
+            before, u, after = (apply_morphism(h18, x) for x in (b, v, a))
+            w = before[-draw(st.integers(0, len(before))):] + u + u
+            ms = range(len(w) - len(u) + 1, len(w))
+            w += after[:draw(st.integers(0, 10))]
+            ms = [m for m in ms if is_square_free(w[:m]) and is_square_free(w[m:])]
+        bases.append((w, ms))
+    assume(any(ms for _, ms in bases))
+    bases = [(w, ms) for w, ms in bases if ms]
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        w, ms = draw(st.sampled_from(bases))
+        m = draw(st.one_of(st.just(ms[-1]), st.sampled_from(ms)))
+        cut = draw(st.one_of(st.just(0), st.integers(0, m)))
+        stream.append((w[cut:], m - cut, draw(st.sampled_from([1, 1, 2, 5, 30]))))
+    return stream
+
+
+def assert_memo_agrees(known, x, m, shortest):
+    expected = any(h >= shortest for h in square_halves(x))
+    assert _square_across(x, m, shortest, known) == _square_across(x, m, shortest) == expected, \
+        (x, m, shortest)
+
+
+@settings(deadline=None, max_examples=300)
+@given(boundary_streams())
+def test_memoized_square_across_matches_brute_force(stream):
+    known = {}
+    for x, m, shortest in stream:
+        assert_memo_agrees(known, x, m, shortest)
+
+
+def test_memo_windows_across_boundaries():
+    # b u u with the boundary m late in the second u, so the square uu
+    # has a half above reach = n - m + _TAIL and starts before the window
+    # w[lo:], lo = m - 2 * reach.
+    h18 = catalog.get_morphism("h18")
+    before, u = apply_morphism(h18, "2"), apply_morphism(h18, "0121")
+    w = before[-9:] + u + u
+    m = len(w) - 12
+    reach = len(w) - m + words._TAIL
+    lo = m - 2 * reach
+    assert is_square_free(w[:m]) and is_square_free(w[m:]) and 9 < lo
+    known = {}
+    # the window itself, its boundary at 2 * reach: no square
+    assert_memo_agrees(known, w[lo:], 2 * reach, 1)
+    assert len(known) == 1
+    # the same window at boundary m: the short verdict is read back, and
+    # the square of half len(u) > reach still comes from the long halves;
+    # then at m - lo + 1 in a suffix that cuts the square off
+    assert_memo_agrees(known, w, m, 1)
+    assert_memo_agrees(known, w[lo - 1:], m - lo + 1, 1)
+    assert len(known) == 1 and _square_across(w, m, 1, known)
+    # a clamped window, m < 2 * reach: the whole word is the window
+    assert_memo_agrees(known, w[lo + 1:], m - lo - 1, 1)
+    assert len(known) == 2
+    # the same window at other boundaries and least halves
+    for shortest in (2, len(u), len(u) + 1):
+        assert_memo_agrees(known, w, m, shortest)
+        assert_memo_agrees(known, w[lo:], 2 * reach, shortest)
+    # one clamped window at two boundaries: the square uu has a long half
+    # at the first and a short one at the second
+    for j in (18, 3):
+        assert_memo_agrees(known, u + u, len(u) + j, 1)
+
+
 def test_letters_beyond_ascii():
     assert find_square("éaéa") == SquareOccurrence(0, 2)
     assert find_square("xéyéz") is None
