@@ -474,18 +474,30 @@ def search_uniform_square_free_morphism(
     return SearchResult(found, "found")
 
 
+def _map_lines(text: str) -> Iterator[tuple[int, int, str]]:
+    # (line number from 1, source letter, right side) of each non-blank
+    # line "a -> right" of a map.
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            left, _, right = map(str.strip, line.partition("->"))
+            yield number, int(_digits(number, "source letter", left)), right
+
+
+def _digits(number: int, what: str, text: str) -> str:
+    # text, once found to be a nonempty string of decimal digits.
+    if not text or text.strip(DIGITS):
+        raise ValueError(f"line {number}: bad {what} {text!r}")
+    return text
+
+
 def parse_morphism(text: str) -> Morphism:
-    """Parse lines of the form "a -> image" into a Morphism."""
+    """Parse lines of the form "a -> image" into a Morphism; a malformed
+    letter or image raises ValueError naming its line, numbered from 1."""
     images: dict[int, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        left, _, right = line.partition("->")
-        letter = int(left.strip())
+    for number, letter, right in _map_lines(text):
         if letter in images:
             raise ValueError(f"duplicate image for letter {letter}")
-        images[letter] = right.strip()
+        images[letter] = _digits(number, "image", right)
     if not images:
         raise ValueError("no letter images")
     if sorted(images) != list(range(len(images))):
@@ -500,18 +512,12 @@ def morphism_text(h: Morphism, sep: str = "\n") -> str:
 
 
 def parse_substitution(text: str) -> Substitution:
-    """Parse lines of the form "a -> {image1, image2}"."""
+    """Parse lines of the form "a -> {image1, image2}", as parse_morphism."""
     sets: dict[int, tuple[str, ...]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        left, _, right = line.partition("->")
-        letter = int(left.strip())
-        right = right.strip()
+    for number, letter, right in _map_lines(text):
         if not (right.startswith("{") and right.endswith("}")):
-            raise ValueError(f"expected '{{...}}' image set, got {right!r}")
-        images = tuple(part.strip() for part in right[1:-1].split(","))
+            raise ValueError(f"line {number}: expected '{{...}}' image set, got {right!r}")
+        images = tuple(_digits(number, "image", part.strip()) for part in right[1:-1].split(","))
         if letter in sets:
             raise ValueError(f"duplicate image set for letter {letter}")
         sets[letter] = images

@@ -4,17 +4,17 @@ Everything here rests on one pruning rule: square-freeness is closed under
 taking factors, so a partial shuffle output that already contains a square can
 never extend to a square-free word.  The depth-first searches therefore test
 each appended letter immediately and cut the branch on the first square.
-One walker serves every search.  It keeps its path on an explicit stack, so
-the length of a word is bounded by memory, not by the call stack.
+One walker serves every search for the self-shuffles of an operand or
+the operand of a word.  It keeps its path on an explicit stack, so the
+length of a word is bounded by memory, not by the call stack.
 Where both copies of the operand have given the same number of letters, the
 copies are interchangeable, so the walk takes the branch drawing on the
 second copy only as the mirror of the branch drawing on the first.  So the
-first copy is never behind, and where the operand is unknown, as in the
-count table and unshuffling, the first copy grows it a letter at a time.
-The table's walk keeps a letter only while the operand and the output stay
-square-free.  It walks each operand prefix once for all its extensions, and
-each point where both copies have given the operand so far is a complete
-self-shuffle of it, so one walk to half-length H fills every row up to 2H.
+first copy is never behind, and where the operand is unknown, as in
+unshuffling, the first copy grows it a letter at a time.
+The count table instead walks the square-free words themselves, each once,
+and carries along each word every way of reading it as the two copies of
+one square-free operand; so one walk to length 2H fills every row up to 2H.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .words import _square_free_counts, _starts_with_square
+from .words import _square_free_words, _starts_with_square
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,19 @@ _SWAP_COPIES = str.maketrans("01", "10")
 def _walk(u: str | list[str], out: str | list[str], bits: list[str]) -> Iterator[int]:
     # The one depth-first walk over the self-shuffles of an operand u of
     # length n = len(u), on an explicit stack of moves into states (i, j):
-    # the first copy has given i letters of u, the second j <= i.  u and out
-    # are each a str the caller gives, which is not checked, or a list of n
-    # or 2n slots that the walk fills and keeps square-free; it fills bits,
-    # 2n slots, with the conducting sequence.  In state (i, j) the first i,
-    # i + j and i + j slots are current.  The first copy gives u[i] when u
-    # is given, else out[i + j] when out is, else 0, 1 or 2 after the
-    # prefix 01; the second copy gives u[j].  Yields i on entering each
-    # level state (i, i), a complete self-shuffle when i == n, and ~i once
-    # the 0-branch below a level state i < n is walked.  The square tests
-    # read rev_u and rev_out, the grown u and out reversed, newest letter
-    # first.  A move cuts the copy back to the state's length, dropping the
-    # letters of the branch it leaves, and puts its letter in front; so the
-    # walk keeps one string of at most n or 2n letters each, O(n) memory.
+    # the first copy has given i letters of u, the second j <= i.  One of u
+    # and out is a str the caller gives, which is not checked, and the other
+    # a list of n or 2n slots that the walk fills and keeps square-free; it
+    # fills bits, 2n slots, with the conducting sequence.  In state (i, j)
+    # the first i, i + j and i + j slots are current.  The first copy gives
+    # u[i] when u is given, else out[i + j]; the second copy gives u[j].
+    # Yields i on entering each level state (i, i), a complete self-shuffle
+    # when i == n, and ~i once the 0-branch below a level state i < n is
+    # walked.  The square test reads rev_u or rev_out, the grown u or out
+    # reversed, newest letter first.  A move cuts it back to the state's
+    # length, dropping the letters of the branch it leaves, and puts its
+    # letter in front; so the walk keeps one string of at most n or 2n
+    # letters, O(n) memory.
     n = len(u)
     grow_u, grow_out = isinstance(u, list), isinstance(out, list)
     rev_u = rev_out = ""
@@ -88,17 +88,8 @@ def _walk(u: str | list[str], out: str | list[str], bits: list[str]) -> Iterator
                 stack.append((i, j + 1, u[j], "1"))
             if i == n:
                 break
-            # the least first-copy move is entered without a trip through the stack
-            if not grow_u:
-                a = u[i]
-            elif not grow_out:
-                a = out[i + j]
-            elif i > 1:
-                stack += (i + 1, j, "2", "0"), (i + 1, j, "1", "0")
-                a = "0"
-            else:
-                a = "01"[i]
-            i, b = i + 1, "0"
+            # the first-copy move is entered without a trip through the stack
+            a, i, b = out[i + j] if grow_u else u[i], i + 1, "0"
 
 
 def find_self_shuffle_betas(
@@ -152,15 +143,30 @@ def distinct_self_shuffles(u: str) -> dict[str, str]:
     return found
 
 
-def _self_shuffles_by_operand(half: int) -> dict[str, set[str]]:
-    # The square-free self-shuffle words of every square-free u with prefix
-    # 01 and 2 <= |u| <= half, keyed by u; operands with none are left out.
-    found: dict[str, set[str]] = {}
-    u, out = [""] * half, [""] * (2 * half)
-    for i in _walk(u, out, out.copy()):  # the sequences go unread
-        if i > 0:
-            found.setdefault("".join(u[:i]), set()).add("".join(out[:2 * i]))
-    return found
+def _self_shuffle_levels(half: int) -> Iterator[tuple[str, set[str]]]:
+    # Every square-free word w of at most 2 * half letters that properly
+    # extends 01, depth first, with the square-free operands u that shuffle
+    # with themselves to w.  Each w carries the states (u, j) reading it as
+    # two copies of u: the first has given all of u, the second u[:j].  A
+    # letter c goes to the first copy while u + c stays a square-free word
+    # of at most half letters, and to the second when u[j] == c; a level
+    # state, j == len(u), reads w as a self-shuffle of u.  There the second
+    # copy cannot move, so the first leads, as the copy swap allows; so u
+    # starts as w does, with 01, and 01 reads as the state ("01", 0).
+    operands = {"01", *_square_free_words("012", half, "01")}
+    path = [{("01", 0)}]  # the states of the path's words, by length - 2
+    for w in _square_free_words("012", 2 * half, "01"):
+        del path[len(w) - 2:]
+        c, states, level = w[-1], set(), set()
+        for u, j in path[-1]:
+            if j < len(u) and u[j] == c:
+                states.add((u, j + 1))
+                if j + 1 == len(u):
+                    level.add(u)
+            if (v := u + c) in operands:
+                states.add((v, j))
+        path.append(states)
+        yield w, level
 
 
 def enumeration_table(max_length: int) -> list[EnumerationRow]:
@@ -169,28 +175,32 @@ def enumeration_table(max_length: int) -> list[EnumerationRow]:
     The row for length L counts all ternary square-free words of length L,
     those that are u shuffled with itself for a square-free u of length
     L/2, and such u.  Renaming the three letters permutes these sets and
-    fixes the prefix-01 word of each orbit, so the walks run over prefix-01
-    words and scale the counts by six.  Two walks fill every row: one
-    counts square-free words at every depth, the other grows u a letter at
-    a time while shuffling two copies of it, so the operands of all rows
-    share the walk through their common prefixes.
+    fixes the prefix-01 word of each orbit, so the walk runs over prefix-01
+    words and scales the counts by six.  One walk fills every row: it
+    visits each square-free word w once, counts it, and carries the ways
+    of reading w as two copies of a growing operand, so a word counted as
+    a self-shuffle is counted once, however many sequences give it.
     """
     if max_length < 4:
         raise ValueError(f"table rows start at length 4, got {max_length}")
     half = max_length // 2
-    counts = _square_free_counts(3, 2 * half)
-    by_length: list[list[set[str]]] = [[] for _ in range(half + 1)]
-    for u, shuffles in _self_shuffles_by_operand(half).items():
-        by_length[len(u)].append(shuffles)
+    counts = [0] * (2 * half + 1)
+    words = [0] * (half + 1)
+    operands: list[set[str]] = [set() for _ in range(half + 1)]
+    for w, level in _self_shuffle_levels(half):
+        counts[len(w)] += 6
+        if level:
+            words[len(w) // 2] += 1
+            operands[len(w) // 2] |= level
     return [
-        EnumerationRow(2 * k, counts[2 * k], 6 * len(set().union(*by_length[k])), 6 * len(by_length[k]))
+        EnumerationRow(2 * k, counts[2 * k], 6 * words[k], 6 * len(operands[k]))
         for k in range(2, half + 1)
     ]
 
 
 def enumeration_row(length: int) -> EnumerationRow:
     """The row of enumeration_table for one even length, at least 4; it
-    costs the whole table up to that length, as the walks pass every row."""
+    costs the whole table up to that length, as the walk passes every row."""
     if length % 2 != 0:
         raise ValueError(f"table rows have even lengths, got {length}")
     return enumeration_table(length)[-1]

@@ -146,6 +146,17 @@ def test_empty_map_file_is_usage_error(tmp_path, command):
     assert out([command, str(path)]) == (f"error: cannot parse {path}: no letter images", 2)
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("certify-morphism", "x -> 01", "line 1: bad source letter 'x'"),
+    ("certify-morphism", "0 -> 01\n1 -> 12x", "line 2: bad image '12x'"),
+    ("certify-substitution", "0 -> {01, 1z}", "line 1: bad image '1z'"),
+])
+def test_malformed_map_file_names_its_line(tmp_path, command, text, message):
+    path = tmp_path / "map.txt"
+    path.write_text(text)
+    assert out([command, str(path)]) == (f"error: cannot parse {path}: {message}", 2)
+
+
 def test_certify_substitution_stretch_golden():
     # 78 = 3 x 26: the count covers the words starting with 1 and 2, which
     # the letter rotation lets the sweep skip

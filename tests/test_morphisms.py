@@ -197,6 +197,24 @@ def test_parsers_reject_text_without_images(parse):
         parse(" \n\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_morphism, "x -> 01", "line 1: bad source letter 'x'"),
+    (parse_morphism, "0 -> 01\n\n1 -> 12x", "line 3: bad image '12x'"),
+    (parse_morphism, "0 -> {01, }", "line 1: bad image '{01, }'"),
+    (parse_morphism, " -> 01", "line 1: bad source letter ''"),
+    (parse_morphism, "0 01", "line 1: bad source letter '0 01'"),
+    (parse_morphism, "0 -> 1\n1 ->", "line 2: bad image ''"),
+    (parse_substitution, "0 -> {0}\n1x -> {1}", "line 2: bad source letter '1x'"),
+    (parse_substitution, "0 -> {01, 2y}", "line 1: bad image '2y'"),
+    (parse_substitution, "0 -> {01, }", "line 1: bad image ''"),
+    (parse_substitution, "0 -> {0}\n1 -> 01", "line 2: expected '{...}' image set, got '01'"),
+])
+def test_parsers_name_the_bad_line(parse, text, message):
+    with pytest.raises(ValueError) as raised:
+        parse(text)
+    assert str(raised.value) == message
+
+
 def test_substitution_application():
     s = Substitution(2, 3, (("0", "00"), ("1",)))
     assert sorted(apply_substitution(s, "01")) == ["001", "01"]

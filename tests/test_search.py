@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from shufflecraft import catalog
 from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.search import (
-    _self_shuffles_by_operand,
+    EnumerationRow,
+    _self_shuffle_levels,
     distinct_self_shuffles,
     enumeration_row,
     enumeration_table,
@@ -16,7 +17,7 @@ from shufflecraft.search import (
     unshuffle_square_free,
 )
 from shufflecraft.shuffle import shuffle_conducted
-from shufflecraft.words import enumerate_square_free, is_square_free, parikh
+from shufflecraft.words import count_square_free, enumerate_square_free, is_square_free, parikh
 
 
 def test_single_triangle_word():
@@ -79,6 +80,27 @@ def test_enumeration_rows_28_and_30():
         row = enumeration_row(length)
         counts[length] = (row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count)
     assert counts == {28: (20220, 1494, 294), 30: (34422, 2634, 390)}
+
+
+def test_enumeration_rows_32_and_34():
+    # past the paper's table; the square-free column is OEIS A006156
+    counts = [(row.length, row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count)
+              for row in enumeration_table(34)[-2:]]
+    assert counts == [(32, 58446, 4296, 540), (34, 99276, 6654, 732)]
+
+
+def test_enumeration_table_matches_find_beta_oracle():
+    # Each row rebuilt from find-beta's walk over every operand, which
+    # shares only the square test with the table's walk, and from
+    # count_square_free.
+    oracle = []
+    for length in range(4, 29, 2):
+        shuffles = [distinct_self_shuffles(u) for u in enumerate_square_free(3, length // 2)
+                    if u.startswith("01")]
+        words = set().union(*shuffles)
+        oracle.append(EnumerationRow(length, count_square_free(3, length), 6 * len(words),
+                                     6 * sum(1 for found in shuffles if found)))
+        assert enumeration_table(length) == oracle
 
 
 @pytest.mark.parametrize("max_length", range(4, 22))
@@ -189,8 +211,12 @@ def test_walkers_match_brute_force_on_square_free_operands(length):
 
 
 def test_table_walk_matches_brute_force():
-    # the operands the walk grows to length 7, and the words of each
-    found = _self_shuffles_by_operand(7)
+    # the operands the walk reads to length 7, and the words of each
+    found = {}
+    for w, level in _self_shuffle_levels(7):
+        for u in level:
+            assert len(w) == 2 * len(u)
+            found.setdefault(u, set()).add(w)
     operands = [u for length in range(2, 8)
                 for u in enumerate_square_free(3, length) if u.startswith("01")]
     assert set(found) <= set(operands)
