@@ -234,11 +234,9 @@ def _store(n: int, witness: ShuffleWitness, strategy: str) -> None:
 
 
 def _build(n: int) -> tuple[ShuffleWitness, str]:
-    bases = catalog.base_witnesses()
-    if n in bases:
-        return bases[n], "base"
-
     entry = catalog.find_entry(f"w{n}")
+    if entry is not None and entry.kind == "witness":
+        return entry.payload, "base"
     if entry is not None and entry.kind == "composition":
         return catalog.expand_composition(entry.payload), "composition"
 

@@ -213,6 +213,11 @@ def unshuffle_square_free(w: str) -> tuple[str, str] | None:
     unknown common operand.  The first copy grows the operand, pruned as
     soon as it picks up a square, and the second copy matches the letters
     grown.  Returns the operand with the least conducting sequence, or None.
+
+    The backtracking is exponential in the worst case, and no polynomial
+    bound is known: deciding whether a word is a shuffle square is
+    NP-complete (Buss and Soltys, JCSS 80 (2014)).  On prefixes of the h18
+    fixed point it took 0.24 s at 150 letters and over 40 s at 400.
     """
     if len(w) % 2 != 0:
         return None

@@ -55,11 +55,24 @@ def check_word(w: str, alphabet_size: int) -> str:
 # at a time; longer ones by the band scan, which finds the _RUN letters from
 # each grid point again with bytes.find and tests only the halves found.
 _SHORT_HALF = 64
+# In a word over the letters 0-3 the XOR pass goes on to this half, and
+# takes the halves from _LANE_HALF on at two bits a letter (_lane_square);
+# 7 is the least half whose runs of equal lanes all hold a zero byte.
+_PACKED_HALF = 96
+_LANE_HALF = 7
 _WINDOW = 1 << 14  # letters per window of the short-half pass
 _RUN = 32  # at most _SHORT_HALF + 1, so each grid step a - _RUN + 1 is positive
 # Letters before a boundary that _square_across looks up with str.rfind to
 # find the long halves of squares ending just past it.
 _TAIL = 8
+
+# Zero bytes that every run of half equal two-bit lanes holds, by half:
+# a run starting on the second lane of a byte leaves three lanes before
+# its first whole byte.
+_LANE_ZEROS = [bytes(max(0, (half - 3) // 4)) for half in range(_PACKED_HALF + 1)]
+# Zero lanes at the low end and at the high end of each byte.
+_LOW_ZERO_LANES = bytes(next((k for k in range(4) if b >> 2 * k & 3), 4) for b in range(256))
+_HIGH_ZERO_LANES = bytes(next((k for k in range(4) if b >> 6 - 2 * k & 3), 4) for b in range(256))
 
 
 def _letter_bytes(w: str) -> bytes:
@@ -115,6 +128,56 @@ def _anchored_start(w, p: int, half: int) -> int:
     return p - b if w[p + f:p + need] == w[p + half + f:p + half + need] else -1
 
 
+def _lane_square(part: bytes, halves: range, limit: int,
+                 first: bool) -> Optional[SquareOccurrence]:
+    # The leftmost square of part, a word over 0-3, with its half in halves
+    # and its start below limit, the shortest half at that start; with
+    # first=True the first one found.  int(part, 4) puts letter i in lane
+    # pad + i of four per byte, counted from the high end, and lane i of the
+    # XOR with a copy shifted by half lanes is zero iff part[i] ==
+    # part[i - half], for i >= half.  Lanes are exact, so a run of half zero
+    # lanes is a square.  Each run holds _LANE_ZEROS[half] zero bytes, which
+    # bytes.find looks up; the zero lanes of the bytes on either side then
+    # measure the run, so a near-square y a y costs a table lookup or two.
+    # One more byte, past the last lane, lets that lookup read a byte after
+    # any run; its lanes are never counted.
+    pad = -len(part) % 4
+    lanes = len(part) + pad
+    x = int(part, 4) << 8
+    low, high = _LOW_ZERO_LANES, _HIGH_ZERO_LANES
+    best = None
+    for half in halves:
+        zeros = _LANE_ZEROS[half]
+        k = len(zeros)
+        gap = half - 4 * k
+        diff = (x ^ (x >> 2 * half)).to_bytes(lanes // 4 + 1, "big")
+        # A run starts at most four lanes before its first zero byte, and
+        # its zero bytes come before the extra one.
+        stop = min((limit + half + pad + 3) // 4 + k, lanes // 4)
+        j = diff.find(zeros, (pad + half) // 4, stop)
+        while j >= 0:
+            # Byte j - 1 is not zero, or lies before lane pad + half: the
+            # first search starts at the byte of that lane, and a later one
+            # just past a byte that is not zero, where the last run ended.
+            e = j + k
+            if diff[e] and low[diff[j - 1]] + high[diff[e]] < gap:
+                j = diff.find(zeros, e + 1, stop)
+                continue
+            run = max(pad + half, 4 * j - low[diff[j - 1]])
+            start = run - pad - half
+            if start >= limit or run + half > lanes:
+                break
+            while 4 * e < run + half and not diff[e]:
+                e += 1
+            if 4 * e + high[diff[e]] >= run + half:
+                limit, best = start, SquareOccurrence(start, half)
+                if first:
+                    return best
+                break
+            j = diff.find(zeros, e + 1, stop)
+    return best
+
+
 def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
     # The leftmost square, shortest half at that start; with first=True any
     # square, returned as soon as one is seen.  Scratch memory is one byte
@@ -123,19 +186,28 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
     data = _letter_bytes(w)
     best: Optional[SquareOccurrence] = None
     best_start = n
-    short = min(_SHORT_HALF, n // 2)
+    packed = not data.translate(None, b"0123")
+    short = min(_PACKED_HALF if packed else _SHORT_HALF, n // 2)
+    bytewise = min(short, _LANE_HALF - 1) if packed else short
     # Short halves, window by window; a square starting in a window ends
     # within 2 * short - 1 letters past it.
     for s in range(0, n, _WINDOW):
         part = data[s:s + _WINDOW + 2 * short - 1]
         x = int.from_bytes(part, "big")
-        for half in range(1, short + 1):
+        for half in range(1, bytewise + 1):
             # Byte j >= half of diff is zero iff part[j] == part[j - half], so a
             # square starting at i is a run of half zero bytes starting at i + half.
             diff = (x ^ (x >> (8 * half))).to_bytes(len(part), "big")
             j = diff.find(bytes(half), half, min(best_start - s, _WINDOW) + 2 * half - 1)
             if j >= 0:
                 best_start, best = s + j - half, SquareOccurrence(s + j - half, half)
+                if first or best_start == 0:
+                    return best
+        if bytewise < short:
+            found = _lane_square(part, range(bytewise + 1, short + 1),
+                                 min(best_start - s, _WINDOW), first)
+            if found is not None:
+                best_start, best = s + found.start, SquareOccurrence(s + found.start, found.half_length)
                 if first or best_start == 0:
                     return best
         if best is not None:
@@ -182,11 +254,16 @@ def is_square_free(w: str) -> bool:
 
     Cost: O(n log n) bytes.find calls and candidate halves for a word of
     length n, each candidate tested in O(log n) steps, so no input is
-    quadratic in interpreted steps.  Halves up to 64 letters take one
-    byte-wise pass over the word each.  Longer halves are taken in bands
-    of about doubling width: the 32 letters from each point of a grid are
-    looked up within the band, and only the halves at which they recur
-    get the exact test.
+    quadratic in interpreted steps.  Short halves take one XOR pass over
+    the word each.  In a word over the letters 0-3 those are halves up to
+    96, and halves 7-96 are tested on the word packed at two bits a letter,
+    a quarter of the bytes: each pass is one bytes.find for the zero bytes
+    that every run of half equal letters holds, and a table lookup on the
+    bytes around each run found.  Halves 1-6, and in other words halves up
+    to 64, take one byte per letter.  Longer halves are taken in bands of
+    about doubling width: the 32 letters from each point of a grid are
+    looked up within the band, and only the halves at which they recur get
+    the exact test.
     """
     return _leftmost_square(w, first=True) is None
 
@@ -195,7 +272,8 @@ def find_square(w: str) -> Optional[SquareOccurrence]:
     """Earliest square in w, or None.
 
     Among occurrences the one with minimal start wins; ties go to the
-    minimal half length.  One pass at the cost of is_square_free.  Once a
+    minimal half length.  One pass at the cost of is_square_free, with
+    the same packing of words over 0-3 at two bits a letter.  Once a
     square is known, each band scans the grid only to one step past its
     start, and past the start looks up letters from just before it, so a
     repetitive tail after the first square costs little.
@@ -222,15 +300,15 @@ def _starts_with_square(rev: str) -> bool:
 
 
 def _short_across(x: str, m: int, shortest: int, reach: int) -> bool:
-    # The halves of _square_across found letter by letter: every half with
-    # m in its left half, and halves up to reach with m in its right half.
-    n = len(x)
-    for half in range(shortest, n - m):
-        if x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
+    # The halves of _square_across found letter by letter, shortest first:
+    # those below n - m with m in their left half, and those up to reach
+    # with m in their right half.
+    right = len(x) - m
+    for half in range(shortest, max(right, reach + 1)):
+        if half < right and x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
             return True
-    for half in range(shortest, reach + 1):
         p = m - half
-        if x[p] == x[m] and _anchored_start(x, p, half) >= 0:
+        if half <= reach and x[p] == x[m] and _anchored_start(x, p, half) >= 0:
             return True
     return False
 
@@ -253,21 +331,23 @@ def _square_across(x: str, m: int, shortest: int = 1,
     # known, when given, keeps the verdicts of _short_across by the window
     # x[lo:], lo = max(0, m - 2 * reach), with n - m and shortest.  The
     # window is all that _short_across reads: when lo > 0, reach is
-    # n - m + _TAIL, the second loop reads back to m - 2 * half >= lo and
-    # the first, with half < n - m < reach, to m - half + 1; and
+    # n - m + _TAIL, a half with m in its right half reads back to
+    # m - 2 * half >= lo and one with m in its left half, half < n - m <
+    # reach, to m - half + 1; and
     # m - lo = 2 * reach > half, so the backward cap of _anchored_start is
     # half - 1 in the window as in x.  The long halves below read all of x.
     n = len(x)
     reach = min(m, n // 2, n - m + _TAIL)
-    if known is None:
-        short = _short_across(x, m, shortest, reach)
-    else:
-        key = (x[max(0, m - 2 * reach):], n - m, shortest)
-        short = known.get(key)
-        if short is None:
-            short = known[key] = _short_across(x, m, shortest, reach)
-    if short:
-        return True
+    if shortest < n - m or shortest <= reach:  # else _short_across has no half
+        if known is None:
+            short = _short_across(x, m, shortest, reach)
+        else:
+            key = (x[max(0, m - 2 * reach):], n - m, shortest)
+            short = known.get(key)
+            if short is None:
+                short = known[key] = _short_across(x, m, shortest, reach)
+        if short:
+            return True
     low = max(shortest, n - m + _TAIL + 1)
     high = min(n // 2, m - _TAIL - 1)
     if low <= high:

@@ -64,6 +64,15 @@ def test_base_witnesses_cover_expected_lengths():
         assert witness.verify()
 
 
+def test_base_witnesses_are_named_by_length():
+    # construct looks length n up as the entry named w<n>, so that lookup
+    # must find every base witness
+    for n, witness in base_witnesses().items():
+        entry = catalog.find_entry(f"w{n}")
+        assert entry is not None and entry.kind == "witness" and entry.payload is witness
+        assert len(witness.u) == n
+
+
 def test_refuted_morphisms_really_refute():
     for name in sorted(REFUTED_MORPHISMS):
         cert = certify_square_free_morphism(get_morphism(name), subject=name)

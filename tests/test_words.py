@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -210,9 +211,11 @@ def plant(start, half, tail=""):
 def test_kernel_across_window_band_and_grid_edges(monkeypatch):
     # A shrunk window puts short squares across its edges; _RUN = 2 makes
     # the long-half bands [65, 129) and [129, 257) on grids of step 64 and
-    # 128, so their edges fall inside words of a few hundred letters.
+    # 128, so their edges fall inside words of a few hundred letters.  These
+    # words are over 0-3, so the lane pass is held to halves up to 64 too.
     monkeypatch.setattr(words, "_WINDOW", 37)
     monkeypatch.setattr(words, "_RUN", 2)
+    monkeypatch.setattr(words, "_PACKED_HALF", 64)
     for start, half in [(36, 64), (73, 64), (36, 1), (40, 63)]:
         # the longest short half, starting on a window's last letter
         w = plant(start, half)
@@ -286,6 +289,150 @@ def test_band_scan_matches_brute_force(monkeypatch, short, run):
         expected = brute_find_square(w)
         assert find_square(w) == expected, w
         assert is_square_free(w) == (expected is None), w
+
+
+LANE_HALVES = range(words._LANE_HALF, words._PACKED_HALF + 1)
+
+
+def assert_kernel_finds(w, expected):
+    """find_square gives expected; with first=True the kernel gives some
+    square exactly when there is one."""
+    assert find_square(w) == expected
+    assert is_square_free(w) == (expected is None)
+    occ = words._leftmost_square(w, first=True)
+    assert (occ is None) == (expected is None)
+    if occ is not None:
+        start, half = occ
+        assert w[start:start + half] == w[start + half:start + 2 * half]
+
+
+@pytest.mark.parametrize("packed, run", [(96, 32), (96, 2), (12, 2), (7, 4)])
+def test_band_scan_after_the_lane_pass(monkeypatch, packed, run):
+    # In words over 0-3 the bands start above the lane pass's last half:
+    # as shipped, then with _RUN shrunk so that band and grid edges fall
+    # inside these words, and the lane pass cut short.  Squares are planted
+    # at the halves a - 1, a, b - 1, b of the first band [a, b), starting
+    # around its grid point q = a - _RUN + 1.
+    monkeypatch.setattr(words, "_PACKED_HALF", packed)
+    monkeypatch.setattr(words, "_RUN", run)
+    a = packed + 1
+    step = a - run + 1
+    planted = [plant(start, half) for half in (a - 1, a, a + step - 1, a + step)
+               for start in (step - 1, step, step + 1)]
+    for w in BAND_SCAN_CASES + planted:
+        assert_kernel_finds(w, brute_find_square(w))
+
+
+def planted_square(start, half, tail="3"):
+    """plant(start, half, tail) and its leftmost square.  The prefix and u
+    are over 0-2, so the two 3s around u u are the only ones, and a square
+    holding either would hold both at distance 2 * half + 1; no such square
+    fits.  So every square lies in u u, and the leftmost is that of u u."""
+    w = plant(start, half, tail)
+    s, h = brute_find_square(w[start:start + 2 * half])
+    return w, SquareOccurrence(start + s, h)
+
+
+def lane_cases():
+    """A square of each lane half ending 1-4 letters before the end of a
+    one-window word.  The packing aligns the last letter with the end of a
+    byte, so the four tails put the run of the square's half equal lanes at
+    each of the four offsets within a byte."""
+    return [planted_square(9 + half % 13, half, "3" + "010"[:t])
+            for half in LANE_HALVES for t in range(4)]
+
+
+LANE_CASES = lane_cases()
+
+
+def test_lane_pass_finds_squares_at_every_byte_offset():
+    for w, expected in LANE_CASES:
+        assert expected.half_length >= words._LANE_HALF
+        assert_kernel_finds(w, expected)
+
+
+def test_lane_pass_finds_squares_across_the_window_edge():
+    # Squares of every lane half starting on the last two letters of the
+    # first window and the first two of the next: the window's packing
+    # ends with it, so the four starts give the four offsets in a byte.
+    edge = words._WINDOW
+    long_word = fixed_point_prefix(catalog.get_morphism("h18"), 0, edge + 200)
+    for half in LANE_HALVES:
+        for start in range(edge - 2, edge + 2):
+            u = long_word[start:start + half]
+            w = long_word[:start - 1] + "3" + u + u + "3"
+            s, h = brute_find_square(u + u)
+            assert_kernel_finds(w, SquareOccurrence(start + s, h))
+
+
+def test_lane_pass_rejects_near_squares():
+    # x y 3 y z with x y and y z factors of h18: any square would hold the
+    # one 3 twice, so there is none, yet at each lane half the half - 1
+    # letters of y are half - 1 equal lanes, one short of a square.  The
+    # letters after z put that run at each offset within a byte.
+    for half in LANE_HALVES:
+        for t in range(4):
+            w = H18_WORD[half - 1:2 * half - 1] + "3" + H18_WORD[half:2 * half + t]
+            assert brute_find_square(w) is None
+            assert_kernel_finds(w, None)
+
+
+def test_lane_pass_finds_a_square_just_past_a_near_square():
+    # x y 3 y b y b: at each lane half the near-square y 3 y gives half - 1
+    # equal lanes, the 3 one unequal lane, and the square y b y b half
+    # equal lanes, so the square's run starts in the byte where the
+    # rejected run ends.  Every square lies in y b y b, after the one 3.
+    for half in LANE_HALVES:
+        y = H18_WORD[half:2 * half]
+        for t in range(4):
+            w = H18_WORD[half - 1] + y[:-1] + "3" + y + y + "3" + "010"[:t]
+            s, h = brute_find_square(y + y)
+            assert_kernel_finds(w, SquareOccurrence(half + 1 + s, h))
+
+
+def test_lane_pass_needs_no_more_zero_bytes(monkeypatch):
+    # Asking for one zero byte more than a run of half lanes is sure to
+    # hold misses the squares whose run starts on a byte's second lane.
+    monkeypatch.setattr(words, "_LANE_ZEROS", [bytes(len(z) + 1) for z in words._LANE_ZEROS])
+    missed = {expected.half_length for w, expected in LANE_CASES if find_square(w) != expected}
+    assert missed == set(LANE_HALVES)
+
+
+def test_letters_beyond_three_take_the_byte_pass(monkeypatch):
+    calls = []
+    lane_square = words._lane_square
+    monkeypatch.setattr(words, "_lane_square", lambda *args: calls.append(args) or lane_square(*args))
+    w, expected = planted_square(40, 30)
+    assert_kernel_finds(w, expected)
+    assert calls
+    calls.clear()
+    for letter in "49":
+        other = w[:10] + letter + w[11:]
+        assert_kernel_finds(other, expected)
+        assert not calls
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int/str conversion digits, where
+    it has one: base 4 is exempt from it, base 10 is not."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_lane_pass_on_a_long_word(default_digit_limit):
+    # Windows of 16,384 letters and more are parsed from base 4.
+    w = fixed_point_prefix(catalog.get_morphism("h18"), 0, 10 ** 5)
+    assert is_square_free(w)
+    planted = w + "3" + w[:50] * 2 + "3"
+    assert find_square(planted) == SquareOccurrence(len(w) + 1, 50)
 
 
 @given(st.text(alphabet="012", min_size=1, max_size=30), st.data())
