@@ -212,29 +212,33 @@ def test_kernel_across_window_band_and_grid_edges(monkeypatch):
     # A shrunk window puts short squares across its edges; _RUN = 2 makes
     # the long-half bands [65, 129) and [129, 257) on grids of step 64 and
     # 128, so their edges fall inside words of a few hundred letters.  These
-    # words are over 0-3, so the lane pass is held to halves up to 64 too.
+    # words are over 0-3, so the XOR pass is held to halves up to 64 too,
+    # and run twice: halves 7-64 on lanes, then with _LANE_HALF = 65 all of
+    # them byte-wise, the pass that words with other letters take.
     monkeypatch.setattr(words, "_WINDOW", 37)
     monkeypatch.setattr(words, "_RUN", 2)
     monkeypatch.setattr(words, "_PACKED_HALF", 64)
-    for start, half in [(36, 64), (73, 64), (36, 1), (40, 63)]:
-        # the longest short half, starting on a window's last letter
-        w = plant(start, half)
-        assert find_square(w) == brute_find_square(w)
-    for half in (64, 65, 128, 129, 256, 257):  # a - 1, a, b - 1, b of both bands
-        for start in (63, 64, 65, 127, 128, 129):  # q - 1, q, q + 1 of grid points
+    for lane in (words._LANE_HALF, 65):
+        monkeypatch.setattr(words, "_LANE_HALF", lane)
+        for start, half in [(36, 64), (73, 64), (36, 1), (40, 63)]:
+            # the longest short half, starting on a window's last letter
             w = plant(start, half)
-            assert find_square(w) == SquareOccurrence(start, half) == brute_find_square(w)
-            assert not is_square_free(w)
-    rng = random.Random(7)
-    for _ in range(300):
-        start = rng.randrange(2000)
-        factor = H18_WORD[start:start + rng.randint(20, 300)]
-        w = factor + factor[-rng.randint(1, len(factor)):]
-        if rng.random() < 0.5:
-            w += H18_WORD[start + len(factor):][:rng.randint(0, 60)]
-        expected = brute_find_square(w)
-        assert find_square(w) == expected
-        assert is_square_free(w) == (expected is None)
+            assert find_square(w) == brute_find_square(w)
+        for half in (64, 65, 128, 129, 256, 257):  # a - 1, a, b - 1, b of both bands
+            for start in (63, 64, 65, 127, 128, 129):  # q - 1, q, q + 1 of grid points
+                w = plant(start, half)
+                assert find_square(w) == SquareOccurrence(start, half) == brute_find_square(w)
+                assert not is_square_free(w)
+        rng = random.Random(7)
+        for _ in range(300):
+            start = rng.randrange(2000)
+            factor = H18_WORD[start:start + rng.randint(20, 300)]
+            w = factor + factor[-rng.randint(1, len(factor)):]
+            if rng.random() < 0.5:
+                w += H18_WORD[start + len(factor):][:rng.randint(0, 60)]
+            expected = brute_find_square(w)
+            assert find_square(w) == expected
+            assert is_square_free(w) == (expected is None)
 
 
 def band_scan_cases():
@@ -278,19 +282,6 @@ def band_scan_cases():
 BAND_SCAN_CASES = band_scan_cases()
 
 
-@pytest.mark.parametrize("short, run", [(64, 32), (64, 2), (64, 4), (8, 2), (8, 4), (3, 4)])
-def test_band_scan_matches_brute_force(monkeypatch, short, run):
-    # As shipped, and with _RUN (and the short-half limit) shrunk so that
-    # many band and grid edges fall inside these words; (3, 4) gives a grid
-    # of step 1 in the first band.
-    monkeypatch.setattr(words, "_SHORT_HALF", short)
-    monkeypatch.setattr(words, "_RUN", run)
-    for w in BAND_SCAN_CASES:
-        expected = brute_find_square(w)
-        assert find_square(w) == expected, w
-        assert is_square_free(w) == (expected is None), w
-
-
 LANE_HALVES = range(words._LANE_HALF, words._PACKED_HALF + 1)
 
 
@@ -306,16 +297,21 @@ def assert_kernel_finds(w, expected):
         assert w[start:start + half] == w[start + half:start + 2 * half]
 
 
-@pytest.mark.parametrize("packed, run", [(96, 32), (96, 2), (12, 2), (7, 4)])
-def test_band_scan_after_the_lane_pass(monkeypatch, packed, run):
-    # In words over 0-3 the bands start above the lane pass's last half:
-    # as shipped, then with _RUN shrunk so that band and grid edges fall
-    # inside these words, and the lane pass cut short.  Squares are planted
-    # at the halves a - 1, a, b - 1, b of the first band [a, b), starting
-    # around its grid point q = a - _RUN + 1.
-    monkeypatch.setattr(words, "_PACKED_HALF", packed)
+@pytest.mark.parametrize("short, run", [(64, 32), (64, 2), (64, 4), (8, 2), (8, 4), (3, 4),
+                                        (96, 32), (96, 2), (12, 2), (7, 4)])
+def test_band_scan_matches_brute_force(monkeypatch, short, run):
+    # The XOR pass takes halves up to short in every word, then the bands
+    # start at a = short + 1: as shipped (64 for most words, 96 for words
+    # over 0-3), and with _RUN and short shrunk so that many band and grid
+    # edges fall inside these words; (3, 4) gives a grid of step 1 in the
+    # first band.  Over 0-3, short >= 7 puts halves 7..short on lanes and
+    # short = 3 leaves no lane pass.  Squares are planted at the halves
+    # a - 1, a, b - 1, b of the first band [a, b), starting around its grid
+    # point q = a - _RUN + 1.
+    monkeypatch.setattr(words, "_SHORT_HALF", short)
+    monkeypatch.setattr(words, "_PACKED_HALF", short)
     monkeypatch.setattr(words, "_RUN", run)
-    a = packed + 1
+    a = short + 1
     step = a - run + 1
     planted = [plant(start, half) for half in (a - 1, a, a + step - 1, a + step)
                for start in (step - 1, step, step + 1)]
