@@ -1,8 +1,8 @@
 """Command line surface.
 
 One binary with subcommands for every operation, plus `verify-paper`, a
-one-shot harness that reruns every built-in reproduction check and prints a
-scorecard.  Exit codes: 0 on success, 1 when a mathematical check fails
+one-shot harness that runs the checks of `scorecard` and prints one line
+per check.  Exit codes: 0 on success, 1 when a mathematical check fails
 (a square found, a certification refuted, a verdict that does not hold),
 2 for usage errors.  Machine-readable output sits behind --json / --format.
 """
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
-import time
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -38,68 +36,15 @@ from .morphisms import (
     apply_morphism,
     certify_square_free_morphism,
     certify_square_free_substitution,
-    check_substitution_properties,
     fixed_point_prefix,
     parse_morphism,
     parse_substitution,
-    substitution_test_length,
 )
-from .search import distinct_self_shuffles, enumeration_table, find_self_shuffle_betas, unshuffle_square_free
-from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
-from .words import _square_free_words, enumerate_square_free, find_square, is_square_free, parikh
+from .search import enumeration_table, find_self_shuffle_betas, unshuffle_square_free
+from .shuffle import shuffle_conducted
+from .words import find_square
 
 ENUMERATION_COLUMNS = ("length", "square_free_count", "shuffle_word_count", "shuffleable_u_count")
-
-# Reference counts for the enumeration scorecard check: per even length, the
-# number of ternary square-free words, of words obtainable as a square-free
-# self-shuffle, and of operands admitting one.
-REFERENCE_ENUMERATION = (
-    (4, 18, 0, 0),
-    (6, 42, 6, 6),
-    (8, 78, 12, 6),
-    (10, 144, 30, 12),
-    (12, 264, 24, 18),
-    (14, 456, 42, 30),
-    (16, 798, 78, 42),
-    (18, 1392, 138, 36),
-    (20, 2388, 228, 54),
-    (22, 4146, 396, 138),
-    (24, 7032, 588, 168),
-    (26, 11892, 1008, 234),
-)
-
-# Reference listing for length 8: every square-free u with prefix 01 that has
-# a square-free self-shuffle, with all distinct shuffled words and one
-# conducting sequence each.  All other square-free length-8 words with
-# prefix 01 admit none; dropping the prefix restriction multiplies by the 6
-# letter permutations.
-REFERENCE_LENGTH8 = {
-    "01021201": (
-        ("0102120102012101", "0000001111011011"),
-        ("0102120102101201", "0000001111100111"),
-        ("0102101201021201", "0000011000111111"),
-    ),
-    "01201021": (("0102101201020121", "0010100111001011"),),
-    "01202101": (
-        ("0120210120102101", "0000001110011111"),
-        ("0120102101202101", "0001100000111111"),
-        ("0102012101202101", "0010010000111111"),
-    ),
-    "01202102": (("0102120210201202", "0010110001101011"),),
-    "01202120": (("0120210201202120", "0000001001111111"),),
-    "01210120": (("0121012010210120", "0000000110111111"),),
-    "01210201": (
-        ("0121020102101201", "0000001101110111"),
-        ("0120102012101201", "0001000011110111"),
-        ("0120102101210201", "0001000100111111"),
-    ),
-}
-
-CERTIFIED_NAMES = (
-    "alpha", "B", "S", "h17", "h18", "h19", "h23", "h24",
-) + tuple(f"sigma_{i}" for i in range(6, 18))
-
-REFUTED_NAMES = ("rho", "tau")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,242 +240,17 @@ def _cmd_catalog(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines), 1
 
 
-# --- scorecard checks -------------------------------------------------------
-
-def _check_enumeration() -> str:
-    rows = enumeration_table(REFERENCE_ENUMERATION[-1][0])
-    for row, (length, *expected) in zip(rows, REFERENCE_ENUMERATION, strict=True):
-        got = [row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count]
-        if got != expected:
-            raise AssertionError(f"length {length}: expected {expected}, got {got}")
-    return f"{len(REFERENCE_ENUMERATION)} rows match"
-
-
-def _check_image_shuffles() -> str:
-    rho = catalog.get_morphism("rho")
-    sigma = catalog.get_morphism("sigma")
-    for i in range(4):
-        beta = catalog.get_beta(f"beta{i}")
-        word = shuffle_conducted(rho.images[i], rho.images[i], beta)
-        if word != sigma.images[i]:
-            raise AssertionError(f"block {i}: shuffle does not match the stored image")
-        if not is_square_free(word):
-            raise AssertionError(f"block {i}: stored image is not square-free")
-    return "4 blocks match and are square-free"
-
-
-def _check_length8_listing() -> str:
-    admitting = 0
-    for u in enumerate_square_free(3, 8):
-        if not u.startswith("01"):
-            continue
-        words = distinct_self_shuffles(u)
-        expected = REFERENCE_LENGTH8.get(u, ())
-        if set(words) != {w for w, _ in expected}:
-            raise AssertionError(f"{u}: found {sorted(words)}")
-        for w, beta in expected:
-            if shuffle_conducted(u, u, beta) != w or not is_square_free(w):
-                raise AssertionError(f"listed witness ({u}, {beta}) does not produce {w}")
-        if expected:
-            admitting += 1
-    if admitting != len(REFERENCE_LENGTH8):
-        raise AssertionError(f"{admitting} operands admit a shuffle, expected {len(REFERENCE_LENGTH8)}")
-    return f"{admitting} operands, {sum(len(v) for v in REFERENCE_LENGTH8.values())} listed words"
-
-
-def _check_certifications() -> str:
-    for name in CERTIFIED_NAMES:
-        cert = certify_square_free_morphism(catalog.get_morphism(name), subject=name)
-        if not cert.certified:
-            raise AssertionError(f"{name} should certify, got {cert.verdict}")
-    for name in REFUTED_NAMES:
-        cert = certify_square_free_morphism(catalog.get_morphism(name), subject=name)
-        if cert.certified:
-            raise AssertionError(f"{name} should refute")
-    rho20 = apply_morphism(catalog.get_morphism("rho"), "20")
-    if "201021" * 2 not in rho20:
-        raise AssertionError("image of 20 should contain (201021)^2")
-    return f"{len(CERTIFIED_NAMES)} certified, {len(REFUTED_NAMES)} refuted"
-
-
-def _check_substitution() -> str:
-    stretch = catalog.get_substitution("stretch")
-    props = check_substitution_properties(stretch)
-    if props != (True, True, True):
-        raise AssertionError(f"properties came back {props}")
-    cert = certify_square_free_substitution(stretch, subject="stretch")
-    if not cert.certified:
-        raise AssertionError(f"expected certified, got {cert.verdict}")
-    return (
-        f"3 properties hold; {cert.checked_count} words checked"
-        f" up to length {substitution_test_length(stretch)}"
-    )
-
-
-def _check_stored_witnesses() -> str:
-    bases = catalog.base_witnesses()
-    for n, witness in sorted(bases.items()):
-        if not witness.verify():
-            raise AssertionError(f"stored witness for length {n} fails")
-    composed = 0
-    for entry in catalog.composition_rules():
-        rule = entry.payload
-        witness = catalog.expand_composition(rule)
-        if len(witness.u) != rule.target_length or not witness.verify():
-            raise AssertionError(f"composition {entry.name} fails")
-        composed += 1
-    return f"{len(bases)} stored + {composed} composed witnesses verified"
-
-
-def _check_coverage() -> str:
-    report = coverage_report(2000)
-    if not report.complete:
-        raise AssertionError(f"gaps at {report.gaps}")
-    samples = (5202, 5203, 5219, 6000, 9999)
-    for n in samples:
-        witness, _ = construct_with_strategy(n)
-        if len(witness.u) != n:
-            raise AssertionError(f"length {n}: got {len(witness.u)}")
-    return f"lengths 3..2000 complete; samples {samples} verified"
-
-
-def _check_theorem4() -> str:
-    for n in (96, 10_080):
-        verdict = verify_theorem4(n)
-        if not verdict.holds:
-            raise AssertionError(f"fails at prefix {verdict.prefix_length}: {verdict.first_violation}")
-    return "holds to prefix 10080"
-
-
-def _check_theorem5() -> str:
-    verdict = verify_theorem5(10_000)
-    if not verdict.holds:
-        raise AssertionError(f"fails at prefix {verdict.prefix_length}: {verdict.first_violation}")
-    if verdict.prefix_length < 9990:
-        raise AssertionError(f"prefix {verdict.prefix_length} below 9990")
-    return f"holds to prefix {verdict.prefix_length}"
-
-
-def _check_abelian() -> str:
-    verdict = verify_abelian_periodicity(48 * 50, 48)
-    if not verdict.holds:
-        raise AssertionError(str(verdict.first_violation))
-    block = catalog.get_morphism("B").images[0]
-    if parikh(block, 3) != (16, 16, 16):
-        raise AssertionError(f"first block has counts {parikh(block, 3)}")
-    return "50 blocks of 48 letters, counts (16, 16, 16)"
-
-
-def _random_balanced(rng: random.Random, half: int) -> str:
-    bits = ["0"] * half + ["1"] * half
-    rng.shuffle(bits)
-    return "".join(bits)
-
-
-REDUCED_NEXT = {"0": "13", "1": "02", "2": "13", "3": "02"}
-
-
-def _reduced_square_free(max_length: int):
-    """All nonempty square-free words over 0..3 avoiding 02, 20, 13, 31."""
-    walk = _square_free_words("0123", max_length)
-    for w in walk:
-        if len(w) > 1 and w[-1] not in REDUCED_NEXT[w[-2]]:
-            walk.send(True)
-        else:
-            yield w
-
-
-def _sample_reduced(rng: random.Random, length: int) -> str:
-    while True:
-        word = rng.choice("0123")
-        while len(word) < length:
-            options = [c for c in REDUCED_NEXT[word[-1]] if is_square_free(word + c)]
-            if not options:
-                break
-            word += rng.choice(options)
-        if len(word) == length:
-            return word
-
-
-def _check_properties() -> str:
-    rng = random.Random(0x5F5F)
-
-    for _ in range(10_000):
-        n = rng.randint(0, 12)
-        u = "".join(rng.choice("012") for _ in range(n))
-        beta = _random_balanced(rng, n)
-        w = shuffle_conducted(u, u, beta)
-        again = find_conducting(u, u, w)
-        if again is None or shuffle_conducted(u, u, again) != w:
-            raise AssertionError(f"round trip failed for u={u}, beta={beta}")
-
-    for _ in range(10_000):
-        n = rng.randint(0, 10)
-        u = "".join(rng.choice("012") for _ in range(n))
-        m = rng.randint(0, n)
-        beta1 = _random_balanced(rng, m)
-        beta2 = _random_balanced(rng, n - m)
-        joined = shuffle_conducted(u, u, beta1 + beta2)
-        split = shuffle_conducted(u[:m], u[:m], beta1) + shuffle_conducted(u[m:], u[m:], beta2)
-        if joined != split:
-            raise AssertionError(f"concatenation law failed for u={u}, split {m}")
-
-    shuffles = 0
-    for length in range(2, 9):
-        for u in enumerate_square_free(3, length):
-            if not u.startswith("01"):
-                continue
-            for w in distinct_self_shuffles(u):
-                if any(count % 2 for count in parikh(w, 3)):
-                    raise AssertionError(f"odd letter count in {w}")
-                shuffles += 1
-
-    dean = 0
-    for u in _reduced_square_free(20):
-        if not is_square_free(perfect_shuffle(u, dual_word(u))):
-            raise AssertionError(f"perfect shuffle of {u} and its dual has a square")
-        dean += 1
-    for length in range(21, 51):
-        for _ in range(5):
-            u = _sample_reduced(rng, length)
-            if not is_square_free(perfect_shuffle(u, dual_word(u))):
-                raise AssertionError(f"perfect shuffle of {u} and its dual has a square")
-            dean += 1
-    return f"20000 random checks, {shuffles} parity checks, {dean} perfect shuffles"
-
-
-SCORECARD = (
-    ("enumeration-table", _check_enumeration),
-    ("image-shuffle-table", _check_image_shuffles),
-    ("length-8-listing", _check_length8_listing),
-    ("morphism-certifications", _check_certifications),
-    ("substitution-certification", _check_substitution),
-    ("stored-witnesses", _check_stored_witnesses),
-    ("construction-coverage", _check_coverage),
-    ("block-shuffle-prefix", _check_theorem4),
-    ("fixed-point-shuffle-prefix", _check_theorem5),
-    ("abelian-periodicity", _check_abelian),
-    ("property-suites", _check_properties),
-)
-
-
 def _cmd_verify_paper(args: argparse.Namespace) -> tuple[str, int]:
-    lines = []
-    failures = 0
-    for label, check in SCORECARD:
-        started = time.perf_counter()
-        try:
-            detail = check()
-            status = "PASS"
-        except AssertionError as exc:
-            detail = str(exc)
-            status = "FAIL"
-            failures += 1
-        elapsed = time.perf_counter() - started
-        lines.append(f"[{status}] {label}: {detail} ({elapsed:.1f}s)")
-    total = len(SCORECARD)
-    lines.append(f"{total - failures}/{total} checks pass")
-    return "\n".join(lines), 0 if failures == 0 else 1
+    from . import scorecard  # only this command loads the checks and their tables
+
+    results = scorecard.run_checks()
+    lines = [
+        f"[{'PASS' if passed else 'FAIL'}] {label}: {detail} ({seconds:.1f}s)"
+        for label, passed, detail, seconds in results
+    ]
+    passing = sum(passed for _, passed, _, _ in results)
+    lines.append(f"{passing}/{len(results)} checks pass")
+    return "\n".join(lines), 0 if passing == len(results) else 1
 
 
 @lru_cache(maxsize=1)

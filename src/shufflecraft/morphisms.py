@@ -101,7 +101,15 @@ class Substitution:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a square-freeness certification run."""
+    """Outcome of a square-freeness certification run.
+
+    checked_count counts source words.  For a morphism, the square-free
+    source words of at most bound_used letters.  For a substitution, the
+    square-free source words of the test length, each tested with every
+    choice of images, times k when the letter rotation applies (for stretch,
+    78 = 3 * 26).  A refutation counts the words up to and including the
+    failing one.
+    """
 
     subject: str
     verdict: str  # "certified" | "refuted"
