@@ -4,9 +4,10 @@ Produces a verified self-shuffle witness (u, beta, w) over the ternary
 alphabet for any requested length n >= 3.  Strategies are tried in order of
 cost: stored base witnesses, the stored composition rules, factoring n through
 a uniform square-free morphism, the five-letter pipeline with the stretch
-substitution, a stretch interval over any constructible shorter length, and
-finally a direct backtracking search.  Whatever the route, the returned
-witness is re-verified from scratch.
+substitution, a stretch interval over the least shorter length that reaches
+n, and finally a direct backtracking search.  Every map lifted through is a
+catalog entry.  Whatever the route, the returned witness is re-verified from
+scratch.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from pathlib import Path
 
 from . import catalog
 from .morphisms import (
-    Certificate,
     Morphism,
     Substitution,
+    _certificate,
     apply_morphism,
-    certify_square_free_morphism,
-    certify_square_free_substitution,
     substitute_with_choices,
 )
 from .search import find_self_shuffle_betas
@@ -92,16 +91,6 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
             os.unlink(tmp)
 
 
-@lru_cache(maxsize=None)
-def _morphism_certificate(h: Morphism) -> Certificate:
-    return certify_square_free_morphism(h)
-
-
-@lru_cache(maxsize=None)
-def _substitution_certificate(s: Substitution) -> Certificate:
-    return certify_square_free_substitution(s)
-
-
 def sigma5_witness(n: int) -> ShuffleWitness:
     """Five-letter witness of length n: u34 shuffled with itself to u3u434.
 
@@ -131,16 +120,15 @@ def apply_morphism_to_witness(
     a witness by construction from a certified map, and
     `construct_with_strategy` verifies it.  Refuses any h whose certification
     does not come back clean, because the result could then not be trusted
-    as a witness.
+    as a witness.  Each map is certified once per process.
     """
     if isinstance(h, Substitution):
         if choices is None:
             raise ValueError("substitution lifting needs one image choice per position")
-        cert = _substitution_certificate(h)
         new_u = substitute_with_choices(h, witness.u, choices)
     else:
-        cert = _morphism_certificate(h)
         new_u = apply_morphism(h, witness.u)
+    cert = _certificate(h)
     if not cert.certified:
         raise ValueError(
             f"refusing to lift through an uncertified map ({cert.subject}: {cert.verdict})"
@@ -171,15 +159,14 @@ def substitution_interval_witness(witness: ShuffleWitness, target: int) -> Shuff
 
 @lru_cache(maxsize=1)
 def _uniform_ternary() -> dict[int, Morphism]:
-    """Uniform 3->3 catalog maps keyed by image length, the factor strategy's divisors.
+    """Uniform catalog maps into 0-2 keyed by image length, the factor strategy's divisors.
 
-    The first three images of a 5->3 map form a 3->3 map of the same image
-    length.
+    h19, h23 and h24 map five letters; a ternary witness reads only their
+    images of 0-2, so they are listed as they are.  Every map here is a
+    catalog entry, certified once per process.
     """
-    maps = [catalog.get_morphism(name) for name in ("u11", "u12", "u13", "h17", "h18", "B", "S")]
-    for name in ("h19", "h23", "h24"):
-        wide = catalog.get_morphism(name)
-        maps.append(Morphism(3, wide.dst_size, wide.images[:3]))
+    names = ("u11", "u12", "u13", "h17", "h18", "h19", "h23", "h24", "B", "S")
+    maps = [catalog.get_morphism(name) for name in names]
     return {h.max_image_length: h for h in maps}
 
 
@@ -190,9 +177,9 @@ def _uniform_five_to_three() -> dict[int, Morphism]:
     return {h.max_image_length: h for h in maps}
 
 
-def _factor_lengths(n: int) -> list[int]:
+def _factor_length(n: int) -> int | None:
     usable = [d for d in _uniform_ternary() if n % d == 0 and n // d >= 3]
-    return sorted(usable, reverse=True)  # largest divisor = cheapest recursion
+    return max(usable, default=None)  # largest divisor = cheapest recursion
 
 
 def _interval_bases(n: int) -> list[int]:
@@ -240,14 +227,13 @@ def _build(n: int) -> tuple[ShuffleWitness, str]:
     if entry is not None and entry.kind == "composition":
         return catalog.expand_composition(entry.payload), "composition"
 
-    for d in _factor_lengths(n):
-        try:
-            inner, _ = construct_with_strategy(n // d)
-        except UnconstructedLengthError:
-            continue
+    d = _factor_length(n)
+    if d is not None:
+        inner, _ = construct_with_strategy(n // d)
         return apply_morphism_to_witness(inner, _uniform_ternary()[d]), "factor"
 
-    for length in _interval_bases(n):
+    bases = _interval_bases(n)
+    for length in bases:
         for k, h in _uniform_five_to_three().items():
             if length % k or length // k < 3:
                 continue
@@ -255,11 +241,8 @@ def _build(n: int) -> tuple[ShuffleWitness, str]:
             ternary = apply_morphism_to_witness(five, h)
             return substitution_interval_witness(ternary, n), "sigma5-pipeline"
 
-    for length in _interval_bases(n):
-        try:
-            inner, _ = construct_with_strategy(length)
-        except UnconstructedLengthError:
-            continue
+    if bases:
+        inner, _ = construct_with_strategy(bases[0])
         return substitution_interval_witness(inner, n), "substitution-interval"
 
     # Last resort, mirroring how the stored tables were produced in the first

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .words import (
@@ -326,6 +327,17 @@ def certify_square_free_substitution(
     if not props_ok:
         return Certificate(subject, "refuted", length, checked, None)
     return Certificate(subject, "certified", length, checked)
+
+
+@lru_cache(maxsize=None)
+def _certificate(h: Morphism | Substitution) -> Certificate:
+    # The certificate of h with the default subject, made once per process
+    # and keyed by the map's value: the catalog report and every lift in
+    # construct read it, so each map is certified once however often it is
+    # checked or lifted through.  The public certify functions stay uncached.
+    if isinstance(h, Substitution):
+        return certify_square_free_substitution(h)
+    return certify_square_free_morphism(h)
 
 
 def _rotation_classes(s: Substitution) -> int:

@@ -17,13 +17,12 @@ from typing import Callable, Iterable
 from . import catalog
 from .construct import construct_with_strategy, coverage_report
 from .limits import PrefixVerdict, verify_abelian_periodicity, verify_theorem4, verify_theorem5
-from .morphisms import apply_morphism, substitution_test_length
+from .morphisms import _certificate, apply_morphism
 from .search import distinct_self_shuffles, enumeration_table
 from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
 from .words import (
     _square_free_words,
     _starts_with_square,
-    count_square_free,
     enumerate_square_free,
     is_square_free,
     parikh,
@@ -147,13 +146,11 @@ def _check_certifications() -> str:
 
 def _check_substitution() -> str:
     # A substitution whose structural properties fail is refuted, so the
-    # passing row means all three hold.  A certified substitution has checked
-    # every square-free source word of the test length, which no row counts.
+    # passing row means all three hold.  The row's certificate, made once
+    # per process, counts the square-free source words of the test length.
     _require_rows(("stretch",))
-    stretch = catalog.get_substitution("stretch")
-    length = substitution_test_length(stretch)
-    checked = count_square_free(stretch.src_size, length)
-    return f"3 properties hold; {checked} words checked up to length {length}"
+    cert = _certificate(catalog.get_substitution("stretch"))
+    return f"3 properties hold; {cert.checked_count} words checked up to length {cert.bound_used}"
 
 
 def _check_stored_witnesses() -> str:

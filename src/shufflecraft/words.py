@@ -128,19 +128,18 @@ def _anchored_start(w, p: int, half: int) -> int:
     return p - b if w[p + f:p + need] == w[p + half + f:p + half + need] else -1
 
 
-def _lane_square(part: bytes, halves: range, limit: int,
-                 first: bool) -> Optional[SquareOccurrence]:
+def _lane_square(part: bytes, halves: range, limit: int) -> Optional[SquareOccurrence]:
     # The leftmost square of part, a word over 0-3, with its half in halves
-    # and its start below limit, the shortest half at that start; with
-    # first=True the first one found.  int(part, 4) puts letter i in lane
-    # pad + i of four per byte, counted from the high end, and lane i of the
-    # XOR with a copy shifted by half lanes is zero iff part[i] ==
-    # part[i - half], for i >= half.  Lanes are exact, so a run of half zero
-    # lanes is a square.  Each run holds _LANE_ZEROS[half] zero bytes, which
-    # bytes.find looks up; the zero lanes of the bytes on either side then
-    # measure the run, so a near-square y a y costs a table lookup or two.
-    # One more byte, past the last lane, lets that lookup read a byte after
-    # any run; its lanes are never counted.
+    # and its start below limit, the shortest half at that start.
+    # int(part, 4) puts letter i in lane pad + i of four per byte, counted
+    # from the high end, and lane i of the XOR with a copy shifted by half
+    # lanes is zero iff part[i] == part[i - half], for i >= half.  Lanes are
+    # exact, so a run of half zero lanes is a square.  Each run holds
+    # _LANE_ZEROS[half] zero bytes, which bytes.find looks up; the zero lanes
+    # of the bytes on either side then measure the run, so a near-square
+    # y a y costs a table lookup or two.  One more byte, past the last lane,
+    # lets that lookup read a byte after any run; its lanes are never
+    # counted.
     pad = -len(part) % 4
     lanes = len(part) + pad
     x = int(part, 4) << 8
@@ -171,17 +170,14 @@ def _lane_square(part: bytes, halves: range, limit: int,
                 e += 1
             if 4 * e + high[diff[e]] >= run + half:
                 limit, best = start, SquareOccurrence(start, half)
-                if first:
-                    return best
                 break
             j = diff.find(zeros, e + 1, stop)
     return best
 
 
-def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
-    # The leftmost square, shortest half at that start; with first=True any
-    # square, returned as soon as one is seen.  Scratch memory is one byte
-    # per letter, a window and slices no longer than a half.
+def _leftmost_square(w: str) -> Optional[SquareOccurrence]:
+    # The leftmost square, shortest half at that start.  Scratch memory is
+    # one byte per letter, a window and slices no longer than a half.
     n = len(w)
     data = _letter_bytes(w)
     best: Optional[SquareOccurrence] = None
@@ -201,14 +197,14 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
             j = diff.find(bytes(half), half, min(best_start - s, _WINDOW) + 2 * half - 1)
             if j >= 0:
                 best_start, best = s + j - half, SquareOccurrence(s + j - half, half)
-                if first or best_start == 0:
+                if best_start == 0:
                     return best
         if bytewise < short:
             found = _lane_square(part, range(bytewise + 1, short + 1),
-                                 min(best_start - s, _WINDOW), first)
+                                 min(best_start - s, _WINDOW))
             if found is not None:
                 best_start, best = s + found.start, SquareOccurrence(s + found.start, found.half_length)
-                if first or best_start == 0:
+                if best_start == 0:
                     return best
         if best is not None:
             break
@@ -242,7 +238,7 @@ def _leftmost_square(w: str, first: bool = False) -> Optional[SquareOccurrence]:
                     start = _anchored_start(data, q, half)
                     if 0 <= start and (best is None or (start, half) < best):
                         best_start, best = start, SquareOccurrence(start, half)
-                        if first or start == 0:
+                        if start == 0:
                             return best
                 j = data.find(z, j + 1, end)
         a = b
@@ -263,20 +259,22 @@ def is_square_free(w: str) -> bool:
     to 64, take one byte per letter.  Longer halves are taken in bands of
     about doubling width: the 32 letters from each point of a grid are
     looked up within the band, and only the halves at which they recur get
-    the exact test.
+    the exact test.  This is find_square's scan: on a word with a square
+    it stops at the end of the window holding the first square, and one
+    band step past its start.
     """
-    return _leftmost_square(w, first=True) is None
+    return _leftmost_square(w) is None
 
 
 def find_square(w: str) -> Optional[SquareOccurrence]:
     """Earliest square in w, or None.
 
     Among occurrences the one with minimal start wins; ties go to the
-    minimal half length.  One pass at the cost of is_square_free, with
-    the same packing of words over 0-3 at two bits a letter.  Once a
-    square is known, each band scans the grid only to one step past its
-    start, and past the start looks up letters from just before it, so a
-    repetitive tail after the first square costs little.
+    minimal half length.  The one scan that is_square_free also runs, with
+    the packing of words over 0-3 at two bits a letter.  Once a square is
+    known, each band scans the grid only to one step past its start, and
+    past the start looks up letters from just before it, so a repetitive
+    tail after the first square costs little.
     """
     return _leftmost_square(w)
 

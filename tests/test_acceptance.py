@@ -6,6 +6,7 @@ algorithms or the catalog shows up as a plain assertion failure.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -161,6 +162,12 @@ def test_criterion_07_full_length_coverage():
     report = coverage_report(2000)
     assert report.complete, report.gaps
     assert report.attained == tuple(range(3, 2001))
+    # The count of each strategy is pinned, so a change in the strategy
+    # construction picks for some length shows here.
+    assert Counter(report.strategies.values()) == {
+        "base": 19, "composition": 316, "factor": 707,
+        "sigma5-pipeline": 484, "substitution-interval": 446, "direct-search": 26,
+    }
     for n in (5202, 5203, 5219, 6000):
         witness, _ = construct_with_strategy(n)
         assert len(witness.u) == n

@@ -2,10 +2,11 @@
 
 import json
 import logging
+from collections import Counter
 
 import pytest
 
-from shufflecraft import catalog, construct
+from shufflecraft import catalog, construct, morphisms
 from shufflecraft.construct import (
     STRATEGIES,
     UnconstructedLengthError,
@@ -246,3 +247,37 @@ def test_construct_reads_uniform_maps_from_the_catalog_only(tmp_path, monkeypatc
     added = {path.name for path in tmp_path.iterdir()} - set(planted)
     assert all(name.startswith("witness-") and name.endswith(".json") for name in added)
     assert {f"witness-{n:05d}.json" for n in lengths} <= added
+
+
+def test_construct_reuses_the_catalog_report_certificates(tmp_path, monkeypatch):
+    # 57 factors through h19, 919 takes the pipeline, 301 a stretch interval
+    # over 17: after one catalog report, none of them certifies a map again.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    morphisms._certificate.cache_clear()
+    certified = Counter()
+
+    def counting(real):
+        return lambda h, *args, **kwargs: certified.update([h]) or real(h, *args, **kwargs)
+
+    for name in ("certify_square_free_morphism", "certify_square_free_substitution"):
+        wrapped = counting(getattr(morphisms, name))
+        for module in (morphisms, catalog, construct):  # wherever the name is bound
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    assert catalog.verify_catalog().ok
+    assert set(certified.values()) == {1}
+    before = sum(certified.values())
+    for n, expected in ((57, "factor"), (919, "sigma5-pipeline"), (301, "substitution-interval")):
+        witness, strategy = construct_with_strategy(n)
+        assert strategy == expected
+        assert len(witness.u) == n and witness.verify()
+    assert sum(certified.values()) == before
+
+
+def test_construct_lifts_only_through_catalog_maps():
+    maps = [catalog.find_entry(name).payload for name in catalog.entry_names()
+            if catalog.find_entry(name).kind == "morphism"]
+    for table in (construct._uniform_ternary(), construct._uniform_five_to_three()):
+        for length, h in table.items():
+            assert h.max_image_length == length
+            assert any(h is m for m in maps)

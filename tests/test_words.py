@@ -286,15 +286,9 @@ LANE_HALVES = range(words._LANE_HALF, words._PACKED_HALF + 1)
 
 
 def assert_kernel_finds(w, expected):
-    """find_square gives expected; with first=True the kernel gives some
-    square exactly when there is one."""
+    """find_square gives expected, and is_square_free agrees with it."""
     assert find_square(w) == expected
     assert is_square_free(w) == (expected is None)
-    occ = words._leftmost_square(w, first=True)
-    assert (occ is None) == (expected is None)
-    if occ is not None:
-        start, half = occ
-        assert w[start:start + half] == w[start + half:start + 2 * half]
 
 
 @pytest.mark.parametrize("short, run", [(64, 32), (64, 2), (64, 4), (8, 2), (8, 4), (3, 4),
