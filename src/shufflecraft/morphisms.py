@@ -208,12 +208,12 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
 
     images = [""] * (bound + 1)  # images[d]: the image of the walk's word of length d
     walk = _square_free_words(letters, cap)
-    for w in walk:
-        depth = len(w)
+    for rev in walk:  # each source word reversed, newest letter first
+        depth = len(rev)
         if depth <= cap:
             counts[depth] += 1
             prefix = images[depth - 1]
-            block = h.images[int(w[-1])]
+            block = h.images[int(rev[0])]
             image = images[depth] = prefix + block
             # Past the two-letter words, tested before the walk, the images
             # of the shorter source words are square-free unless a shorter
@@ -221,7 +221,7 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
             # first block into the last one, across the last block boundary.
             shortest = (len(image) - len(images[1]) - len(block) + 3) // 2
             if depth > 2 and _square_across(image, len(prefix), shortest):
-                failure = (w, counts[depth])
+                failure = (rev[::-1], counts[depth])
                 cap = depth - 1
         if depth >= cap:
             walk.send(True)

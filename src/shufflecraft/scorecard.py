@@ -209,16 +209,15 @@ def _dean_walk(max_length: int, dual: Callable[[str], str] = dual_word) -> int:
     shuffled = [""]  # shuffled[d]: the shuffle of the path's word of length d, reversed
     count = 0
     walk = _square_free_words("0123", max_length)
-    for u in walk:
-        a = u[-1]
-        if len(u) > 1 and a not in REDUCED_NEXT[u[-2]]:
+    for u in walk:  # u reversed, newest letter first
+        a = u[0]
+        if len(u) > 1 and a not in REDUCED_NEXT[u[1]]:
             walk.send(True)
             continue
         rev = a + shuffled[len(u) - 1]
         if _starts_with_square(rev) or _starts_with_square(duals[a] + rev):
-            raise AssertionError(f"perfect shuffle of {u} and its dual has a square")
-        del shuffled[len(u):]
-        shuffled.append(duals[a] + rev)
+            raise AssertionError(f"perfect shuffle of {u[::-1]} and its dual has a square")
+        shuffled[len(u):] = [duals[a] + rev]
         count += 1
     return count
 

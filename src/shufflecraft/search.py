@@ -144,29 +144,36 @@ def distinct_self_shuffles(u: str) -> dict[str, str]:
 
 
 def _self_shuffle_levels(half: int) -> Iterator[tuple[str, set[str]]]:
-    # Every square-free word w of at most 2 * half letters that properly
-    # extends 01, depth first, with the square-free operands u that shuffle
-    # with themselves to w.  Each w carries the states (u, j) reading it as
-    # two copies of u: the first has given all of u, the second u[:j].  A
-    # letter c goes to the first copy while u + c stays a square-free word
-    # of at most half letters, and to the second when u[j] == c; a level
-    # state, j == len(u), reads w as a self-shuffle of u.  There the second
-    # copy cannot move, so the first leads, as the copy swap allows; so u
-    # starts as w does, with 01, and 01 reads as the state ("01", 0).
-    operands = {"01", *_square_free_words("012", half, "01")}
-    path = [{("01", 0)}]  # the states of the path's words, by length - 2
-    for w in _square_free_words("012", 2 * half, "01"):
-        del path[len(w) - 2:]
-        c, states, level = w[-1], set(), set()
-        for u, j in path[-1]:
-            if j < len(u) and u[j] == c:
-                states.add((u, j + 1))
-                if j + 1 == len(u):
-                    level.add(u)
-            if (v := u + c) in operands:
-                states.add((v, j))
-        path.append(states)
-        yield w, level
+    # Every square-free word of at most 2 * half letters that properly
+    # extends 01, depth first and reversed as the walk yields it, with the
+    # operands u, also reversed, that shuffle with themselves to it.  Each
+    # word carries the states (r, j), r = u reversed: the word is all of u
+    # from the first copy and u[:j] from the second.  A letter c goes to
+    # the first copy while c + r stays square-free and at most half long,
+    # and to the second when it is u[j], r[~j]; a level state, j == len(u),
+    # reads the word as a self-shuffle of u.  There the second copy cannot
+    # move, so the first leads, as the copy swap allows; so u starts with
+    # 01, and 01 reads as ("10", 0).  Full-length words get only levels.
+    operands = {"10", *_square_free_words("012", half, "01")}
+    full = 2 * half
+    path: list = [()] * (full + 1)  # path[n]: the states of the path's word of length n
+    path[2] = {("10", 0)}
+    for rev in _square_free_words("012", full, "01"):
+        n, level = len(rev), set()
+        if parent := path[n - 1]:  # a word with no states passes none on
+            c, states, more = rev[0], set(), n < full
+            for r, j in parent:
+                m = len(r)
+                if j < m and r[~j] == c:
+                    if j + 1 == m:
+                        level.add(r)
+                    if more:
+                        states.add((r, j + 1))
+                if more and m < half and (v := c + r) in operands:
+                    states.add((v, j))
+            parent = states
+        path[n] = parent
+        yield rev, level
 
 
 def enumeration_table(max_length: int) -> list[EnumerationRow]:
@@ -176,10 +183,11 @@ def enumeration_table(max_length: int) -> list[EnumerationRow]:
     those that are u shuffled with itself for a square-free u of length
     L/2, and such u.  Renaming the three letters permutes these sets and
     fixes the prefix-01 word of each orbit, so the walk runs over prefix-01
-    words and scales the counts by six.  One walk fills every row: it
-    visits each square-free word w once, counts it, and carries the ways
-    of reading w as two copies of a growing operand, so a word counted as
-    a self-shuffle is counted once, however many sequences give it.
+    words, 204,880 nodes at 38, growing as 1.30^max_length, and scales
+    the counts by six.  One walk fills every row: it visits each
+    square-free word w once, counts it, and carries the ways of reading w
+    as two copies of a growing operand, so a word counted as a
+    self-shuffle is counted once, however many sequences give it.
     """
     if max_length < 4:
         raise ValueError(f"table rows start at length 4, got {max_length}")
@@ -187,11 +195,11 @@ def enumeration_table(max_length: int) -> list[EnumerationRow]:
     counts = [0] * (2 * half + 1)
     words = [0] * (half + 1)
     operands: list[set[str]] = [set() for _ in range(half + 1)]
-    for w, level in _self_shuffle_levels(half):
-        counts[len(w)] += 6
+    for rev, level in _self_shuffle_levels(half):
+        counts[len(rev)] += 6
         if level:
-            words[len(w) // 2] += 1
-            operands[len(w) // 2] |= level
+            words[len(rev) // 2] += 1
+            operands[len(rev) // 2] |= level
     return [
         EnumerationRow(2 * k, counts[2 * k], 6 * words[k], 6 * len(operands[k]))
         for k in range(2, half + 1)

@@ -363,39 +363,42 @@ def _square_across(x: str, m: int, shortest: int = 1,
 def _square_free_words(letters: str, limit: int,
                        start: str = "") -> Generator[Optional[str], Optional[bool], None]:
     # Every square-free word of at most limit letters that properly extends
-    # the square-free word start, depth first in letter order.  The path is
-    # kept on an explicit stack of letter iterators, one per level below
-    # start, so any limit fits in the call stack.  Sending True after a word
-    # skips its extensions; the send returns None, and the caller's loop goes
-    # on with the next word.  rev is word reversed, for the square test.
-    word, rev = start, start[::-1]
-    levels = [iter(letters)] if len(word) < limit else []
+    # the square-free word start, depth first in letter order, yielded
+    # reversed, newest letter first, as _starts_with_square tests it; a
+    # letter is followed only by the others.  The path is a stack of letter
+    # iterators, one per level below start, so any limit fits in the call
+    # stack.  Sending True after a word skips its extensions; the send
+    # returns None, and the caller's loop goes on with the next word.
+    rev = start[::-1]
+    others = {a: letters.replace(a, "") for a in letters}
+    levels = [iter(others.get(rev[:1], letters))] if len(rev) < limit else []
     while levels:
         for a in levels[-1]:
-            child_rev = a + rev
-            if not _starts_with_square(child_rev):
-                child = word + a
+            child = a + rev
+            if not _starts_with_square(child):
                 if (yield child):
                     yield None
                 elif len(child) < limit:
-                    word, rev = child, child_rev
-                    levels.append(iter(letters))
+                    rev = child
+                    levels.append(iter(others[a]))
                     break
         else:
             levels.pop()
-            word, rev = word[:-1], rev[1:]
+            rev = rev[1:]
 
 
 def enumerate_square_free(alphabet_size: int, length: int) -> Iterator[str]:
-    """Yield all square-free words of exactly this length, lexicographically."""
+    """Yield all square-free words of exactly this length, lexicographically,
+    at one walk node and square test per square-free word of at most length
+    letters; over three letters they grow as 1.30^length."""
     letters = _letters(alphabet_size)
     if length < 0:
         raise ValueError("length must be non-negative")
     if length == 0:
         yield ""
-    for w in _square_free_words(letters, length):
-        if len(w) == length:
-            yield w
+    for rev in _square_free_words(letters, length):
+        if len(rev) == length:
+            yield rev[::-1]
 
 
 def _square_free_counts(alphabet_size: int, max_length: int) -> list[int]:
@@ -407,8 +410,8 @@ def _square_free_counts(alphabet_size: int, max_length: int) -> list[int]:
     m = len(letters)
     pairs = m * (m - 1)  # with one letter, 01 weighs 0
     counts = [1, m, pairs] + [0] * (max_length - 2)
-    for w in _square_free_words(letters, max_length, "01"):
-        counts[len(w)] += pairs
+    for rev in _square_free_words(letters, max_length, "01"):
+        counts[len(rev)] += pairs
     return counts[:max_length + 1]
 
 
@@ -420,7 +423,8 @@ def count_square_free(alphabet_size: int, length: int) -> int:
     b becomes 1 maps the square-free words starting with ab one-to-one onto
     those starting with 01.  So the walk covers only the words starting
     with 01 and multiplies by the m * (m - 1) pairs a, b, m the alphabet
-    size.
+    size: a sixth of the ternary square-free words of at most length
+    letters as walk nodes, 204,880 at length 38, growing as 1.30^length.
     """
     return _square_free_counts(alphabet_size, length)[length]
 
@@ -445,11 +449,10 @@ def lex_least_square_free_prefix(alphabet_size: int, n: int) -> str:
     length n in the depth-first walk over square-free words in letter
     order: every letter is the least one that still extends to a
     square-free word of length n.  Raises when no square-free word of that
-    length exists.  The walk keeps its path on an explicit stack, so any n
-    fits in the call stack.  A new letter is tested only for squares
-    ending with it, by one C scan of the word reversed, O(n) comparisons;
-    so the walk stays superlinear, about n^2 comparisons over its n
-    letters and backtracks.
+    length exists.  Cost: the walk's nodes up to that word, its n letters
+    and the branches it backtracks from, each tested only for squares
+    ending with its new letter by one C scan of the word reversed, O(n)
+    comparisons, so about n^2 comparisons in all.
     """
     word = next(enumerate_square_free(alphabet_size, n), None)
     if word is None:

@@ -89,6 +89,14 @@ def test_enumeration_rows_32_and_34():
     assert counts == [(32, 58446, 4296, 540), (34, 99276, 6654, 732)]
 
 
+def test_enumeration_rows_36_and_38():
+    # the rows as the walk that kept a forward copy of each word counted
+    # them
+    counts = [(row.length, row.square_free_count, row.shuffle_word_count, row.shuffleable_u_count)
+              for row in enumeration_table(38)[-2:]]
+    assert counts == [(36, 168546, 12000, 1152), (38, 285750, 19218, 1452)]
+
+
 def test_enumeration_table_matches_find_beta_oracle():
     # Each row rebuilt from find-beta's walk over every operand, which
     # shares only the square test with the table's walk, and from
@@ -211,12 +219,13 @@ def test_walkers_match_brute_force_on_square_free_operands(length):
 
 
 def test_table_walk_matches_brute_force():
-    # the operands the walk reads to length 7, and the words of each
+    # the operands the walk reads to length 7, and the words of each; the
+    # walk yields both reversed
     found = {}
-    for w, level in _self_shuffle_levels(7):
-        for u in level:
-            assert len(w) == 2 * len(u)
-            found.setdefault(u, set()).add(w)
+    for rev, level in _self_shuffle_levels(7):
+        for r in level:
+            assert len(rev) == 2 * len(r)
+            found.setdefault(r[::-1], set()).add(rev[::-1])
     operands = [u for length in range(2, 8)
                 for u in enumerate_square_free(3, length) if u.startswith("01")]
     assert set(found) <= set(operands)

@@ -622,8 +622,9 @@ def test_enumeration_is_sorted_and_complete():
                                       for start in ("", "0", "01") if k > 1 or start != "01"])
 def test_square_free_walk_matches_brute_force(k, start):
     # every square-free proper extension of start up to the limit, in
-    # depth-first letter order, which is sorted order; pruned words keep
-    # their place and lose exactly their extensions
+    # depth-first letter order, which is sorted order, each yielded
+    # reversed; pruned words keep their place and lose exactly their
+    # extensions
     letters = "0123"[:k]
     rng = random.Random(f"{k}/{start}")
     for limit in range(8):
@@ -635,11 +636,11 @@ def test_square_free_walk_matches_brute_force(k, start):
             pruned = {w for w in expected if rng.random() < share}
             walk = words._square_free_words(letters, limit, start)
             seen = []
-            for w in itertools.islice(walk, len(expected) + 1):
-                seen.append(w)
-                if w in pruned:
+            for rev in itertools.islice(walk, len(expected) + 1):
+                seen.append(rev)
+                if rev[::-1] in pruned:
                     assert walk.send(True) is None
-            assert seen == [w for w in expected
+            assert seen == [w[::-1] for w in expected
                             if not any(w.startswith(p) and w != p for p in pruned)]
 
 
