@@ -53,20 +53,16 @@ class CommandResult:
     payload: str
 
 
-class UsageError(Exception):
-    """Bad input that is not a mathematical failure."""
-
-
 def _digits(text: str, what: str) -> str:
     # str.isdigit alone also accepts the digits of other scripts, such as ² and ٣.
     if text and not (text.isascii() and text.isdigit()):
-        raise UsageError(f"{what} must be a string of digits, got {text!r}")
+        raise ValueError(f"{what} must be a string of digits, got {text!r}")
     return text
 
 
 def _bits(text: str, what: str) -> str:
     if not all(c in "01" for c in text):
-        raise UsageError(f"{what} must be a string of 0s and 1s, got {text!r}")
+        raise ValueError(f"{what} must be a string of 0s and 1s, got {text!r}")
     return text
 
 
@@ -83,16 +79,13 @@ def _cmd_shuffle(args: argparse.Namespace) -> tuple[str, int]:
     u = _digits(args.u, "first operand")
     v = _digits(args.v, "second operand")
     beta = _bits(args.beta, "conducting sequence")
-    try:
-        return shuffle_conducted(u, v, beta), 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return shuffle_conducted(u, v, beta), 0
 
 
 def _cmd_find_beta(args: argparse.Namespace) -> tuple[str, int]:
     u = _digits(args.u, "operand")
     if args.limit < 1:
-        raise UsageError(f"--limit must be at least 1, got {args.limit}")
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     limit = None if args.all else args.limit
     found = find_self_shuffle_betas(u, limit=limit)
     if not found:
@@ -111,7 +104,7 @@ def _cmd_unshuffle(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
     if args.max_length < 4:
-        raise UsageError(f"enumeration starts at length 4, got {args.max_length}")
+        raise ValueError(f"enumeration starts at length 4, got {args.max_length}")
     rows = [dataclasses.astuple(row) for row in enumeration_table(args.max_length)]
     if args.format == "csv":
         lines = [",".join(ENUMERATION_COLUMNS)] + [",".join(map(str, cells)) for cells in rows]
@@ -128,13 +121,13 @@ def _resolve_map(name: str, parse: Callable, get: Callable):
         try:
             return parse(path.read_text()), name
         except OSError as exc:
-            raise UsageError(f"cannot read {name}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot read {name}: {exc.strerror or exc}") from exc
         except ValueError as exc:
-            raise UsageError(f"cannot parse {name}: {exc}") from exc
+            raise ValueError(f"cannot parse {name}: {exc}") from exc
     try:
         return get(name), name
     except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+        raise ValueError(str(exc.args[0])) from exc
 
 
 def _cmd_certify_morphism(args: argparse.Namespace) -> tuple[str, int]:
@@ -166,13 +159,10 @@ def _cmd_fixed_point(args: argparse.Namespace) -> tuple[str, int]:
     try:
         h = catalog.get_morphism(args.name)
     except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+        raise ValueError(str(exc.args[0])) from exc
     if args.length < 0:
-        raise UsageError(f"--length must be non-negative, got {args.length}")
-    try:
-        return fixed_point_prefix(h, 0, args.length), 0
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--length must be non-negative, got {args.length}")
+    return fixed_point_prefix(h, 0, args.length), 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> tuple[str, int]:
@@ -340,8 +330,6 @@ def run(argv: Optional[list[str]] = None) -> CommandResult:
         return CommandResult(int(exc.code or 0), "")
     try:
         payload, code = args.handler(args)
-    except UsageError as exc:
-        return CommandResult(2, f"error: {exc}")
     except UnconstructedLengthError as exc:
         return CommandResult(1, f"error: {exc}")
     except ValueError as exc:

@@ -20,15 +20,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import catalog
-from .morphisms import (
-    Morphism,
-    Substitution,
-    _certificate,
-    apply_morphism,
-    substitute_with_choices,
-)
+from .morphisms import Morphism, Substitution, _certificate
 from .search import find_self_shuffle_betas
-from .shuffle import ShuffleWitness, lift_conducting, shuffle_conducted, verify_witness
+from .shuffle import ShuffleWitness, _lift_witness, verify_witness
 from .words import enumerate_square_free, lex_least_square_free_prefix
 
 CACHE_ENV = "SHUFFLECRAFT_CACHE_DIR"
@@ -115,26 +109,20 @@ def apply_morphism_to_witness(
 ) -> ShuffleWitness:
     """Lift a witness through a certified square-free morphism or substitution.
 
-    The conducting sequence is stretched run by run, so the new interleaving
-    is exactly the image of the old one and stays square-free: the result is
-    a witness by construction from a certified map, and
-    `construct_with_strategy` verifies it.  Refuses any h whose certification
-    does not come back clean, because the result could then not be trusted
-    as a witness.  Each map is certified once per process.
+    The lifted interleaving is the image of the old one, so through a
+    certified map the result is a witness by construction, and
+    `construct_with_strategy` verifies it.  Refuses any h whose certificate,
+    made once per process, does not come back clean.  The composition
+    strategy does not lift through here: `catalog.expand_composition` uses
+    sigma_1..sigma_17 uncertified, and only the final `verify_witness`
+    proves what it builds.
     """
-    if isinstance(h, Substitution):
-        if choices is None:
-            raise ValueError("substitution lifting needs one image choice per position")
-        new_u = substitute_with_choices(h, witness.u, choices)
-    else:
-        new_u = apply_morphism(h, witness.u)
     cert = _certificate(h)
     if not cert.certified:
         raise ValueError(
             f"refusing to lift through an uncertified map ({cert.subject}: {cert.verdict})"
         )
-    new_beta = lift_conducting(witness.beta, witness.u, h, choices=choices)
-    return ShuffleWitness(new_u, new_beta, shuffle_conducted(new_u, new_u, new_beta))
+    return _lift_witness(witness, h, choices)
 
 
 def substitution_interval_witness(witness: ShuffleWitness, target: int) -> ShuffleWitness:

@@ -15,7 +15,7 @@ from typing import Optional
 from . import catalog
 from .morphisms import apply_morphism, fixed_point_prefix
 from .shuffle import shuffle_conducted
-from .words import find_square, is_lyndon, parikh
+from .words import find_square, parikh
 
 THEOREMS = ("theorem4", "theorem5", "abelian", "lyndon")
 
@@ -160,15 +160,5 @@ def verify_lyndon_example() -> PrefixVerdict:
     self-shuffle can be Lyndon-decreasing.
     """
     witness = catalog.get_witness("lyndon8")
-    if not witness.verify():
-        return PrefixVerdict("lyndon", len(witness.u), False, "stored witness fails verification")
-    if not is_lyndon(witness.u):
-        return PrefixVerdict("lyndon", len(witness.u), False, f"{witness.u} is not Lyndon")
-    if not is_lyndon(witness.w):
-        return PrefixVerdict("lyndon", len(witness.u), False, f"{witness.w} is not Lyndon")
-    if not witness.w < witness.u:
-        return PrefixVerdict(
-            "lyndon", len(witness.u), False,
-            f"shuffled word {witness.w} is not smaller than the operand {witness.u}",
-        )
-    return PrefixVerdict("lyndon", len(witness.u), True)
+    violation = catalog._lyndon_violation(witness)
+    return PrefixVerdict("lyndon", len(witness.u), violation is None, violation)

@@ -494,61 +494,56 @@ def search_uniform_square_free_morphism(
     return SearchResult(found, "found")
 
 
-def _map_lines(text: str) -> Iterator[tuple[int, int, str]]:
-    # (line number from 1, source letter, right side) of each non-blank
-    # line "a -> right" of a map.
-    for number, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            left, _, right = map(str.strip, line.partition("->"))
-            yield number, int(_digits(number, "source letter", left)), right
-
-
-def _digits(number: int, what: str, text: str) -> str:
+def _digits(number: int, text: str, what: str = "image") -> str:
     # text, once found to be a nonempty string of decimal digits.
     if not text or text.strip(DIGITS):
         raise ValueError(f"line {number}: bad {what} {text!r}")
     return text
 
 
+def _parse_map(text: str, what: str, images_of) -> tuple[tuple, int]:
+    # The right sides images_of(number, right) of the non-blank lines
+    # "a -> right" of a map, numbered from 1, in letter order, and the size
+    # of the alphabet they use; a right side is an image or a tuple of
+    # images, and what names it in the duplicate message.
+    table: dict = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        left, _, right = map(str.strip, line.partition("->"))
+        letter = int(_digits(number, left, "source letter"))
+        if letter in table:
+            raise ValueError(f"duplicate {what} for letter {letter}")
+        table[letter] = images_of(number, right)
+    if not table:
+        raise ValueError("no letter images")
+    if sorted(table) != list(range(len(table))):
+        raise ValueError("source letters must be 0..k-1 without gaps")
+    ordered = tuple(table[a] for a in range(len(table)))
+    return ordered, int(max("".join(map("".join, ordered)))) + 1
+
+
 def parse_morphism(text: str) -> Morphism:
     """Parse lines of the form "a -> image" into a Morphism; a malformed
     letter or image raises ValueError naming its line, numbered from 1."""
-    images: dict[int, str] = {}
-    for number, letter, right in _map_lines(text):
-        if letter in images:
-            raise ValueError(f"duplicate image for letter {letter}")
-        images[letter] = _digits(number, "image", right)
-    if not images:
-        raise ValueError("no letter images")
-    if sorted(images) != list(range(len(images))):
-        raise ValueError("source letters must be 0..k-1 without gaps")
-    ordered = tuple(images[a] for a in sorted(images))
-    dst = max((int(c) for img in ordered for c in img), default=-1) + 1
-    return Morphism(len(ordered), max(dst, 1), ordered)
+    ordered, dst = _parse_map(text, "image", _digits)
+    return Morphism(len(ordered), dst, ordered)
 
 
 def morphism_text(h: Morphism, sep: str = "\n") -> str:
     return sep.join(f"{a} -> {img}" for a, img in enumerate(h.images))
 
 
+def _image_set(number: int, right: str) -> tuple[str, ...]:
+    if not (right.startswith("{") and right.endswith("}")):
+        raise ValueError(f"line {number}: expected '{{...}}' image set, got {right!r}")
+    return tuple(_digits(number, part.strip()) for part in right[1:-1].split(","))
+
+
 def parse_substitution(text: str) -> Substitution:
     """Parse lines of the form "a -> {image1, image2}", as parse_morphism."""
-    sets: dict[int, tuple[str, ...]] = {}
-    for number, letter, right in _map_lines(text):
-        if not (right.startswith("{") and right.endswith("}")):
-            raise ValueError(f"line {number}: expected '{{...}}' image set, got {right!r}")
-        images = tuple(_digits(number, "image", part.strip()) for part in right[1:-1].split(","))
-        if letter in sets:
-            raise ValueError(f"duplicate image set for letter {letter}")
-        sets[letter] = images
-    if not sets:
-        raise ValueError("no letter images")
-    if sorted(sets) != list(range(len(sets))):
-        raise ValueError("source letters must be 0..k-1 without gaps")
-    ordered = tuple(sets[a] for a in sorted(sets))
-    dst = max((int(c) for images in ordered for img in images for c in img),
-              default=-1) + 1
-    return Substitution(len(ordered), max(dst, 1), ordered)
+    ordered, dst = _parse_map(text, "image set", _image_set)
+    return Substitution(len(ordered), dst, ordered)
 
 
 def substitution_text(s: Substitution, sep: str = "\n") -> str:

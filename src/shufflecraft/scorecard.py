@@ -19,7 +19,7 @@ from .construct import construct_with_strategy, coverage_report
 from .limits import PrefixVerdict, verify_abelian_periodicity, verify_theorem4, verify_theorem5
 from .morphisms import _certificate, apply_morphism
 from .search import distinct_self_shuffles, enumeration_table
-from .shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
+from .shuffle import ShuffleWitness, dual_word, find_conducting, perfect_shuffle, shuffle_conducted
 from .words import (
     _square_free_words,
     _starts_with_square,
@@ -125,7 +125,7 @@ def _check_length8_listing() -> str:
         if set(words) != {w for w, _ in expected}:
             raise AssertionError(f"{u}: found {sorted(words)}")
         for w, beta in expected:
-            if shuffle_conducted(u, u, beta) != w or not is_square_free(w):
+            if not ShuffleWitness(u, beta, w).verify():
                 raise AssertionError(f"listed witness ({u}, {beta}) does not produce {w}")
         if expected:
             admitting += 1

@@ -11,7 +11,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .words import is_square_free
+from .morphisms import Substitution, apply_morphism, substitute_with_choices
+from .words import check_word, is_square_free
 
 __all__ = [
     "check_beta",
@@ -194,13 +195,29 @@ def lift_conducting(beta: str, u: str, h, choices: Optional[Sequence[int]] = Non
 
 
 def _image_lengths(u: str, h, choices: Optional[Sequence[int]]) -> list[int]:
-    if hasattr(h, "image_sets"):
+    check_word(u, h.src_size)
+    if isinstance(h, Substitution):
         if choices is None:
             raise ValueError("substitution lifting needs one image choice per position")
         if len(choices) != len(u):
             raise ValueError("choices must match the length of u")
         return [len(h.image_sets[int(a)][c]) for a, c in zip(u, choices)]
     return [len(h.images[int(a)]) for a in u]
+
+
+def _lift_witness(witness: ShuffleWitness, h,
+                  choices: Optional[Sequence[int]] = None) -> ShuffleWitness:
+    """The image of a witness under a morphism or substitution h.
+
+    beta is stretched run by run, so the new u conducted with itself under
+    it is an image of the old w.  h is not certified here.
+    """
+    beta = lift_conducting(witness.beta, witness.u, h, choices)
+    if isinstance(h, Substitution):
+        u = substitute_with_choices(h, witness.u, choices)
+    else:
+        u = apply_morphism(h, witness.u)
+    return ShuffleWitness(u, beta, shuffle_conducted(u, u, beta))
 
 
 def find_conducting(u: str, v: str, w: str) -> Optional[str]:

@@ -95,6 +95,17 @@ def test_expand_composition_lifts_to_target():
     assert witness.verify()
 
 
+def test_expand_composition_maps_the_base_shuffle_through_the_chain():
+    # The lifted w is conducted from the lifted u; it must equal the chain's
+    # image of the base witness's w, applied right to left.
+    for entry in composition_rules():
+        rule = entry.payload
+        w = get_witness(rule.base).w
+        for index in reversed(rule.morphism_chain):
+            w = apply_morphism(get_morphism(f"sigma_{index}"), w)
+        assert expand_composition(rule).w == w, entry.name
+
+
 def test_composition_rules_all_have_targets():
     rules = composition_rules()
     assert len(rules) == 316

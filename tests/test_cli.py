@@ -164,6 +164,14 @@ def test_certify_substitution_stretch_golden():
         "certified square-free: 78 images checked up to length 8", 0)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["shuffle", "01", "01", "0001"], "beta has 3 zeros but the first operand has 2 letters"),
+    (["fixed-point", "rho", "--length", "5"], "fixed points need images over the source alphabet"),
+])
+def test_library_rejections_are_usage_errors(argv, message):
+    assert out(argv) == (f"error: {message}", 2)
+
+
 def test_fixed_point_hall_prefix():
     payload, code = out(["fixed-point", "tau", "--length", "27"])
     assert code == 0

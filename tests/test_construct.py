@@ -63,6 +63,17 @@ def test_lift_refuses_refuted_morphisms():
         apply_morphism_to_witness(w3, catalog.get_morphism("tau"))
 
 
+def test_lift_checks_choices_and_letters():
+    w3 = catalog.get_witness("w3")
+    stretch = catalog.get_substitution("stretch")
+    with pytest.raises(ValueError, match="needs one image choice per position"):
+        apply_morphism_to_witness(w3, stretch)
+    with pytest.raises(ValueError, match="choices must match the length of u"):
+        apply_morphism_to_witness(w3, stretch, [0, 1])
+    with pytest.raises(ValueError, match="letter '3' not in alphabet of size 3"):
+        apply_morphism_to_witness(sigma5_witness(3), catalog.get_morphism("sigma_6"))
+
+
 def test_substitution_interval_endpoints():
     base = catalog.get_witness("w3")
     assert len(substitution_interval_witness(base, 51).u) == 51

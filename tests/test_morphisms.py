@@ -3,6 +3,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from brute import brute_find_square
 from shufflecraft import catalog, morphisms, words
 from shufflecraft.morphisms import (
     Certificate,
@@ -35,15 +36,6 @@ from shufflecraft.words import (
 )
 
 HALL = Morphism(3, 3, ("012", "02", "1"))
-
-
-def brute_find_square(w):
-    """Leftmost square, shortest half at that start, straight from the definition."""
-    for i in range(len(w)):
-        for h in range(1, (len(w) - i) // 2 + 1):
-            if w[i:i + h] == w[i + h:i + 2 * h]:
-                return SquareOccurrence(i, h)
-    return None
 
 
 def reference_certify_morphism(h):
@@ -337,13 +329,17 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     images = list(catalog.get_morphism("sigma_17").images)
     images[1] += images[2][:extra]
     h = Morphism(3, 3, tuple(images))
-    tested = []
-    starts_with_square = words._starts_with_square
-    monkeypatch.setattr(words, "_starts_with_square",
-                        lambda rev: tested.append(rev) or starts_with_square(rev))
+    events = []
+    square_free_words = morphisms._square_free_words
+    square_across = morphisms._square_across
+    monkeypatch.setattr(morphisms, "_square_free_words", lambda letters, limit:
+                        events.append(("walk", limit)) or square_free_words(letters, limit))
+    monkeypatch.setattr(morphisms, "_square_across",
+                        lambda *args: events.append("across") or square_across(*args))
     cert = certify_square_free_morphism(h)
-    # read before the reference, which enumerates through the same walk
-    assert len(tested) == 3
+    # The pair pass tests squares, then the walk starts at one letter and
+    # tests none.
+    assert events[-1] == ("walk", 1) and "across" in events
     assert cert == reference_certify_morphism(h)
     assert cert.counterexample[0] in ("10", "12")
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from brute import brute_find_square
 from shufflecraft import catalog
 from shufflecraft.morphisms import fixed_point_prefix
 from shufflecraft.search import (
@@ -158,11 +159,6 @@ def test_unshuffle_inverts_shuffle(u):
 # definitions: every conducting sequence, every square.
 
 
-def brute_has_square(w):
-    return any(w[i:i + h] == w[i + h:i + 2 * h]
-               for i in range(len(w)) for h in range(1, (len(w) - i) // 2 + 1))
-
-
 def balanced_betas(n):
     """Every binary word with n zeros and n ones, in ascending order."""
     betas = []
@@ -184,7 +180,7 @@ def reference_betas(u):
     found = []
     for beta in balanced_betas(len(u)):
         word = shuffle_conducted(u, u, beta)
-        if not brute_has_square(word):
+        if brute_find_square(word) is None:
             found.append((beta, word))
     return found
 
@@ -194,7 +190,7 @@ def reference_unshuffle(w):
         return None
     for beta in balanced_betas(len(w) // 2):
         first, second = copies(w, beta)
-        if first == second and not brute_has_square(first):
+        if first == second and brute_find_square(first) is None:
             return first, beta
     return None
 

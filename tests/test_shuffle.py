@@ -1,8 +1,13 @@
 """Conducted shuffles: the interleaving engine and its inverses."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import shufflecraft
 from shufflecraft.shuffle import (
     PeriodicConductingSequence,
     ShuffleWitness,
@@ -237,3 +242,19 @@ def test_run_walker_messages():
         decompose_blocks("0", "1", "001")
     with pytest.raises(ValueError, match="beta has 1 ones but the second operand has 2 letters"):
         lift_conducting("001", "01", Morphism(3, 3, ("0", "1", "2")))
+
+
+@pytest.mark.parametrize("name", ["words", "shuffle", "morphisms", "search", "catalog",
+                                  "construct", "limits", "scorecard", "cli"])
+def test_each_module_imports_on_its_own(name):
+    # The package's __init__ fixes one import order.  Loading a module first,
+    # under a bare package, shows an import cycle that this order hides.
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('shufflecraft')\n"
+        f"package.__path__ = [{str(Path(shufflecraft.__file__).parent)!r}]\n"
+        "sys.modules['shufflecraft'] = package\n"
+        f"importlib.import_module('shufflecraft.{name}')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from brute import brute_ends_in_square, brute_find_square
 from shufflecraft import catalog, words
 from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
@@ -27,20 +28,6 @@ ternary = st.text(alphabet="012", max_size=24)
 # Square-free and rich in long near-squares: a fixed point of an
 # 18-uniform morphism.
 H18_WORD = fixed_point_prefix(catalog.get_morphism("h18"), 0, 3000)
-
-
-def brute_find_square(w):
-    """Leftmost square, shortest half at that start, straight from the definition."""
-    for i in range(len(w)):
-        for h in range(1, (len(w) - i) // 2 + 1):
-            if w[i:i + h] == w[i + h:i + 2 * h]:
-                return SquareOccurrence(i, h)
-    return None
-
-
-def brute_ends_in_square(w):
-    n = len(w)
-    return any(w[n - 2 * h:n - h] == w[n - h:] for h in range(1, n // 2 + 1))
 
 
 @st.composite
