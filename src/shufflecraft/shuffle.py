@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .morphisms import Substitution, apply_morphism, substitute_with_choices
+from .morphisms import Substitution, _image
 from .words import check_word, is_square_free
 
 __all__ = [
@@ -212,11 +212,8 @@ def _lift_witness(witness: ShuffleWitness, h,
     beta is stretched run by run, so the new u conducted with itself under
     it is an image of the old w.  h is not certified here.
     """
-    beta = lift_conducting(witness.beta, witness.u, h, choices)
-    if isinstance(h, Substitution):
-        u = substitute_with_choices(h, witness.u, choices)
-    else:
-        u = apply_morphism(h, witness.u)
+    beta = lift_conducting(witness.beta, witness.u, h, choices)  # checks u and the choices
+    u = _image(h, witness.u, choices)
     return ShuffleWitness(u, beta, shuffle_conducted(u, u, beta))
 
 

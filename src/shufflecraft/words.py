@@ -360,6 +360,53 @@ def _square_across(x: str, m: int, shortest: int = 1,
     return False
 
 
+def _closing_prefixes(x: str, before: int, longest: int) -> tuple[str, ...]:
+    # Strings r such that, for any block b of at most longest letters, x + b
+    # has a square that starts before `before` and holds m = len(x) in its
+    # right half exactly when b starts with some r.
+    #
+    # A square of half L at s, s + L <= m < s + 2L, matches the first
+    # t = m - L - s letters of its left half with the t letters before m,
+    # and b must start with the rest, x[m - L:s + L].  So t <= c, the common
+    # suffix of x[:m - L] and x, capped at L - 1 (s > m - 2L) and at m - L
+    # (s >= 0), and the least start s = m - L - c gives the r = x[m - L:m - c]
+    # that every other r of this half extends.  It counts when s < before,
+    # that is c >= m - L - before + 1, and r has at most longest letters;
+    # the halves with room for both lie in [lo, hi].  Each half up to top
+    # needs c > _TAIL, and c >= k for the k below, so the last k letters of
+    # x, z, recur ending at m - L: str.rfind finds those halves, and the
+    # others are tested one by one.  The bounds are taken by comparison,
+    # not min and max, as a walk calls this once per node.
+    m = len(x)
+    lo = (m - before + 3) // 2
+    if lo < 1:
+        lo = 1
+    hi = (m + longest) // 2
+    if hi > m:
+        hi = m
+    top = m - before - _TAIL
+    if top < lo:
+        halves = range(lo, hi + 1)
+    else:
+        if top > hi:
+            top = hi
+        k = m - top - before + 1
+        z = x[m - k:]
+        q = x.rfind(z, before - 1, m - lo)  # a copy of z ends at m - L
+        if q < 0 and top == hi:
+            return ()  # the usual outcome deep in a walk
+        halves = list(range(top + 1, hi + 1))
+        while q >= 0:
+            halves.append(m - k - q)
+            q = x.rfind(z, before - 1, q + k - 1)
+    closing = []
+    for half in halves:
+        c = _match_back(x, m - half, m, min(m - half, half - 1))
+        if m - half - c < before and half - c <= longest:
+            closing.append(x[m - half:m - c])
+    return tuple(closing)
+
+
 def _square_free_words(letters: str, limit: int,
                        start: str = "") -> Generator[Optional[str], Optional[bool], None]:
     # Every square-free word of at most limit letters that properly extends

@@ -18,3 +18,12 @@ def brute_find_square(w):
 def brute_ends_in_square(w):
     n = len(w)
     return any(w[n - 2 * h:n - h] == w[n - h:] for h in range(1, n // 2 + 1))
+
+
+def brute_closing_squares(x, b, before):
+    """Halves L of the squares y[s:s + 2L] of y = x + b with s < before and
+    s + L <= len(x) < s + 2L, so that len(x) falls in the right half."""
+    y, m = x + b, len(x)
+    return sorted({L for s in range(min(before, m))
+                   for L in range((m - s) // 2 + 1, min(m - s, (len(y) - s) // 2) + 1)
+                   if y[s:s + L] == y[s + L:s + 2 * L]})

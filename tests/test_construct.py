@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from shufflecraft import catalog, construct, morphisms
+from shufflecraft import catalog, construct, morphisms, shuffle
 from shufflecraft.construct import (
     STRATEGIES,
     UnconstructedLengthError,
@@ -72,6 +72,21 @@ def test_lift_checks_choices_and_letters():
         apply_morphism_to_witness(w3, stretch, [0, 1])
     with pytest.raises(ValueError, match="letter '3' not in alphabet of size 3"):
         apply_morphism_to_witness(sigma5_witness(3), catalog.get_morphism("sigma_6"))
+
+
+@pytest.mark.parametrize("name, choices", [("sigma_6", None), ("stretch", [0, 1, 1])])
+def test_a_lift_checks_u_once(monkeypatch, name, choices):
+    # lift_conducting checks u's letters and the choices; mapping u does
+    # not check them again
+    w3 = catalog.get_witness("w3")
+    h = catalog.get_entry(name).payload
+    expected = apply_morphism_to_witness(w3, h, choices)  # certifies h first
+    checked = []
+    for module in (shuffle, morphisms):
+        monkeypatch.setattr(module, "check_word", lambda w, k, check=module.check_word:
+                            checked.append(w) or check(w, k))
+    assert apply_morphism_to_witness(w3, h, choices) == expected
+    assert checked == [w3.u]
 
 
 def test_substitution_interval_endpoints():

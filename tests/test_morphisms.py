@@ -321,6 +321,17 @@ def test_first_failing_letter_ends_the_walk():
     assert cert.checked_count == 1
 
 
+def test_square_holding_the_last_boundary_in_its_left_half():
+    # h(012) = 0.1.2012 is the square 012012, whose left half holds the
+    # last block boundary: the prefix image 01 has first block + M - 3
+    # letters, M = 4, so the node 01 tests its children across the
+    # boundary, not by closing prefixes.
+    h = Morphism(3, 3, ("0", "1", "2012"))
+    cert = certify_square_free_morphism(h)
+    assert cert == reference_certify_morphism(h)
+    assert cert.counterexample == ("012", (0, 3))
+
+
 @pytest.mark.parametrize("extra", range(2, 8))
 def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     # sigma_17 with a prefix of its image of 2 appended to its image of 1
@@ -342,6 +353,32 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     assert events[-1] == ("walk", 1) and "across" in events
     assert cert == reference_certify_morphism(h)
     assert cert.counterexample[0] in ("10", "12")
+
+
+def test_deep_nodes_test_only_their_closing_prefixes(monkeypatch):
+    # Certifying sigma_17 calls _square_across for the 6 two-letter words
+    # and at the shallow nodes only: 101, 102, 201 and 202, whose prefix
+    # images are shorter than first block + 29 - 2 letters.  Every deeper
+    # child reads its parent's closing prefixes, computed once per parent
+    # that has a child.
+    h = catalog.get_morphism("sigma_17")
+    shallow = [w for length in (3, 4) for w in enumerate_square_free(3, length)
+               if len(apply_morphism(h, w[:-1])) < len(h.images[int(w[0])]) + 29 - 2]
+    assert shallow == ["101", "102", "201", "202"]
+    across, closing = [], []
+    square_across = morphisms._square_across
+    closing_prefixes = morphisms._closing_prefixes
+    monkeypatch.setattr(morphisms, "_square_across",
+                        lambda *args: across.append(args[0]) or square_across(*args))
+    monkeypatch.setattr(morphisms, "_closing_prefixes",
+                        lambda *args: closing.append(args[0]) or closing_prefixes(*args))
+    cert = certify_square_free_morphism(h)
+    assert cert == Certificate(cert.subject, "certified", 27, 66189)
+    assert len(across) == 6 + len(shallow)
+    assert sorted(across[6:]) == sorted(apply_morphism(h, w) for w in shallow)
+    # the images of distinct source words differ, as no image of sigma_17
+    # is a prefix of another
+    assert len(closing) == len(set(closing)) == 48910
 
 
 # (verdict, bound_used, checked_count, counterexample) of every catalog
@@ -407,6 +444,66 @@ def test_catalog_certificates_are_frozen():
         cert = certs[name]
         assert cert.subject == name
         assert (cert.verdict, cert.bound_used, cert.checked_count, cert.counterexample) == expected
+
+
+# One-letter mutants of the catalog maps with the longest bounds, keyed
+# (name, letter, i, j, text): the image of the letter has its letters
+# [i, j) replaced by text, which substitutes, deletes or inserts one
+# letter.  These are the mutants that reach the walk, certified or
+# refuted at three letters, with the certificates the length-by-length
+# enumeration gave them; every other mutant is refuted at one or two
+# letters, before the walk.
+MUTANT_CERTIFICATES = {
+    ("sigma_10", 2, 8, 8, "2"): ("certified", 4, 39, None),
+    ("sigma_11", 1, 14, 15, ""): ("refuted", 15, 14, ("101", (8, 7))),
+    ("sigma_11", 1, 9, 9, "0"): ("certified", 17, 4227, None),
+    ("sigma_11", 2, 3, 3, "0"): ("refuted", 16, 17, ("121", (12, 12))),
+    ("sigma_12", 1, 3, 4, ""): ("refuted", 16, 21, ("212", (12, 11))),
+    ("sigma_12", 2, 3, 3, "0"): ("refuted", 17, 21, ("212", (13, 12))),
+    ("sigma_12", 2, 6, 6, "1"): ("certified", 17, 4227, None),
+    ("sigma_12", 2, 9, 9, "1"): ("refuted", 17, 15, ("102", (4, 12))),
+    ("sigma_15", 1, 5, 5, "2"): ("refuted", 5, 14, ("101", (4, 11))),
+    ("sigma_15", 1, 8, 8, "2"): ("certified", 5, 69, None),
+    ("sigma_15", 1, 11, 11, "1"): ("certified", 5, 69, None),
+    ("sigma_15", 1, 14, 14, "1"): ("refuted", 5, 14, ("101", (17, 11))),
+    ("sigma_17", 0, 1, 1, "2"): ("refuted", 14, 14, ("101", (19, 6))),
+    ("sigma_17", 1, 9, 9, "2"): ("certified", 27, 66189, None),
+    ("sigma_17", 2, 14, 14, "0"): ("refuted", 28, 15, ("102", (25, 11))),
+    ("sigma_17", 2, 20, 20, "1"): ("refuted", 28, 18, ("201", (16, 8))),
+}
+
+
+def one_letter_mutants(name):
+    """(key, map) for each distinct one-letter mutant of a catalog map,
+    keyed as in MUTANT_CERTIFICATES: per image and position, the other
+    letters there, then its deletion; then each insertion."""
+    h = catalog.get_morphism(name)
+    seen = {h.images}
+    for a, img in enumerate(h.images):
+        edits = [(i, i + 1, t) for i in range(len(img))
+                 for t in [c for c in "012" if c != img[i]] + [""]]
+        edits += [(i, i, c) for i in range(len(img) + 1) for c in "012"]
+        for i, j, text in edits:
+            images = h.images[:a] + (img[:i] + text + img[j:],) + h.images[a + 1:]
+            if images[a] and images not in seen:
+                seen.add(images)
+                yield (name, a, i, j, text), Morphism(3, 3, images)
+
+
+def test_mutant_certificates_are_frozen():
+    mutants = [m for name in ("sigma_9", "sigma_10", "sigma_11", "sigma_12", "sigma_15",
+                              "sigma_17") for m in one_letter_mutants(name)]
+    assert len(mutants) == 1091
+    walked = set()
+    for key, h in mutants:
+        cert = certify_square_free_morphism(h)
+        got = (cert.verdict, cert.bound_used, cert.checked_count, cert.counterexample)
+        if key in MUTANT_CERTIFICATES:
+            walked.add(key)
+            assert got == MUTANT_CERTIFICATES[key], key
+        else:
+            assert len(cert.counterexample[0]) <= 2 and cert == reference_certify_morphism(h), key
+    assert walked == set(MUTANT_CERTIFICATES)
 
 
 # Images over ten letters with no letter twice in one image: about half of

@@ -5,11 +5,12 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brute import brute_ends_in_square, brute_find_square
+from brute import brute_closing_squares, brute_ends_in_square, brute_find_square
 from shufflecraft import catalog, words
 from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
     SquareOccurrence,
+    _closing_prefixes,
     _square_across,
     _square_free_counts,
     _starts_with_square,
@@ -575,6 +576,72 @@ def test_memo_windows_across_boundaries():
     # at the first and a short one at the second
     for j in (18, 3):
         assert_memo_agrees(known, u + u, len(u) + j, 1)
+
+
+def random_square_free(rng, size):
+    """A square-free ternary word of this many letters, letter by letter
+    at random, starting again when no letter fits."""
+    w = ""
+    while len(w) < size:
+        fits = [c for c in "012" if is_square_free(w + c)]
+        w = w + rng.choice(fits) if fits else ""
+    return w
+
+
+def closing_case(rng, longest):
+    """A prefix x, a block b of at most longest letters and a bound
+    `before`.  x is an h18 factor of 5-300 letters, whose near-squares
+    send many halves through str.rfind.  b is x's continuation with its
+    last letter changed, which can close a long square, or a random
+    square-free word; or x ends with v u v, |v| >= 9, after fewer than
+    `before` letters, and b continues the first v, so x + b holds v u v u
+    unless b's changed last letter falls in u."""
+    kind = rng.randrange(3)
+    before = rng.choice([1, 3, 10, 29, None])  # None: len(x)
+    if kind == 2:
+        # the earlier copies of x's last 9 letters whose gap b can fill
+        end = rng.randrange(300, len(H18_WORD))
+        z = H18_WORD[end - 9:end]
+        repeats = []
+        q = H18_WORD.rfind(z, end - 120, end - 10)
+        while q >= 0:
+            half, c = end - 9 - q, 9
+            while H18_WORD[end - half - c - 1] == H18_WORD[end - c - 1]:
+                c += 1
+            if half - c <= longest:
+                repeats.append((half, c))
+            q = H18_WORD.rfind(z, end - 120, q + 8)
+        if repeats:
+            half, c = rng.choice(repeats)
+            x = H18_WORD[end - half - c - rng.randrange(before or 29):end]
+            b = H18_WORD[end - half:end - half + rng.randint(half - c, longest)]
+        else:
+            kind = 0
+    if kind < 2:
+        start = rng.randrange(2500)
+        x = H18_WORD[start:start + rng.randint(5, 300)]
+        size = rng.randint(1, longest)
+        b = H18_WORD[start + len(x):start + len(x) + size] if kind == 0 else random_square_free(rng, size)
+    if kind != 1 and rng.random() < 0.5:
+        b = b[:-1] + rng.choice([c for c in "012" if c != b[-1]])
+    return x, b, before or len(x)
+
+
+def test_closing_prefixes_match_brute_force():
+    # b starts with a closing prefix exactly when x + b has a square from
+    # before `before` with len(x) in its right half.
+    rng = random.Random(23)
+    longest = 30
+    squares = through_rfind = 0
+    for _ in range(3000):
+        x, b, before = closing_case(rng, longest)
+        closing = _closing_prefixes(x, before, longest)
+        assert all(len(r) <= longest for r in closing)
+        halves = brute_closing_squares(x, b, before)
+        assert b.startswith(closing) == bool(halves), (x, b, before)
+        squares += bool(halves)
+        through_rfind += bool(halves) and halves[0] <= len(x) - before - words._TAIL
+    assert squares >= 500 and through_rfind >= 200
 
 
 def test_letters_beyond_ascii():
