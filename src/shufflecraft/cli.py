@@ -60,12 +60,6 @@ def _digits(text: str, what: str) -> str:
     return text
 
 
-def _bits(text: str, what: str) -> str:
-    if not all(c in "01" for c in text):
-        raise ValueError(f"{what} must be a string of 0s and 1s, got {text!r}")
-    return text
-
-
 def _cmd_squarefree(args: argparse.Namespace) -> tuple[str, int]:
     word = _digits(args.word, "word")
     occ = find_square(word)
@@ -78,8 +72,7 @@ def _cmd_squarefree(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_shuffle(args: argparse.Namespace) -> tuple[str, int]:
     u = _digits(args.u, "first operand")
     v = _digits(args.v, "second operand")
-    beta = _bits(args.beta, "conducting sequence")
-    return shuffle_conducted(u, v, beta), 0
+    return shuffle_conducted(u, v, args.beta), 0
 
 
 def _cmd_find_beta(args: argparse.Namespace) -> tuple[str, int]:
@@ -103,8 +96,6 @@ def _cmd_unshuffle(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    if args.max_length < 4:
-        raise ValueError(f"enumeration starts at length 4, got {args.max_length}")
     rows = [dataclasses.astuple(row) for row in enumeration_table(args.max_length)]
     if args.format == "csv":
         lines = [",".join(ENUMERATION_COLUMNS)] + [",".join(map(str, cells)) for cells in rows]

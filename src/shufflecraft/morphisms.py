@@ -182,19 +182,22 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
     word (shortest, then lexicographic) with the square in its image.
 
     The letter images are tested first, then the images of the square-free
-    two-letter words in order, each by the squares across its one block
-    boundary.  Then the depth-first walk over square-free words, which
-    keeps its path on an explicit stack, visits the longer source words,
-    each image its parent's image plus one block.  A node tests only the
-    squares that start in its word's first block and end in the last: any
-    other lies in the image of a shorter word, which fails first and wins,
-    so the certificate is that of testing every square.  Once the parent's
-    image holds first block + M - 2 letters, M the longest image, such a
-    square holds the last boundary in its right half, and the parent's
-    closing prefixes, listed once, decide its children: a child fails
-    exactly when its block starts with one.  Earlier nodes test the
-    squares across the last boundary that reach the first block.
-    sigma_17's 66,189 words take about 0.18 s on a 2-vCPU x86 host.
+    two-letter words in order.  Then the depth-first walk over square-free
+    words, which keeps its path on an explicit stack, visits the longer
+    source words, each image its parent's image plus one block.  A node
+    tests only the squares that start in its word's first block and end in
+    the last: any other lies in the image of a shorter word, which fails
+    first and wins, so the certificate is that of testing every square.
+    Such a square holds the last boundary in its right half, and the
+    parent's closing prefixes, listed once, decide it: the node fails when
+    its block starts with one.  Or it holds the boundary in its left half,
+    which needs a parent image shorter than first block + M - 2 letters, M
+    the longest image: such a node also fails when its parent image ends
+    with one of its block's opening suffixes, listed once per letter.  A
+    square found that way may start past the first block, but then it lies
+    in the image of a shorter word again.  A two-letter word is the node
+    whose parent is one letter, tested the same way.  sigma_17's 66,189
+    words take about 0.16 s on a 2-vCPU x86 host.
     The walk's depth is bounded by memory, not by the call stack, but its
     time grows exponentially with the bound.  A failure caps the walk
     below its own length, so the refutation and checked_count are those
@@ -205,6 +208,14 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
     bound = crochemore_bound(h)
     subject = subject or morphism_text(h, sep=", ")
     letters = DIGITS[:h.src_size]
+    longest = h.max_image_length
+    # The closing prefixes of each letter image as a first block, and its
+    # opening suffixes, the closing prefixes of the image reversed, reversed
+    # back: a word p ends with one of those of h(c) exactly when p + h(c)
+    # has a square holding len(p) in its left half or at its middle.
+    starts = [_closing_prefixes(img, len(img), longest) for img in h.images]
+    opening = [tuple(r[::-1] for r in _closing_prefixes(img[::-1], len(img), len(img)))
+               for img in h.images]
     counts = [0] * (bound + 1)  # square-free source words visited per length
     cap = bound
     failure: Optional[tuple[str, int]] = None  # (word, its rank at its length)
@@ -216,15 +227,16 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
         # The two-letter words next, in order: a failure among them is the
         # refutation, and depth-first order would meet it only after the
         # whole walk under every earlier letter.
-        # The square-free two-letter words are the ab with a != b.
+        # The square-free two-letter words are the ab with a != b.  The
+        # parent image is the first block, so the left-half test needs only
+        # longest > 2.
         pairs = itertools.permutations(range(h.src_size), 2)
         for rank, (a, b) in enumerate(pairs, 1):
-            left = h.images[a]
-            if _square_across(left + h.images[b], len(left)):
+            if (h.images[b].startswith(starts[a])
+                    or longest > 2 and h.images[a].endswith(opening[b])):
                 failure, cap = (letters[a] + letters[b], rank), 1
                 break
 
-    longest = h.max_image_length
     images = [""] * (bound + 1)  # images[d]: the image of the walk's word of length d
     # closing[d]: the closing prefixes of that image, once a child needs them
     closing: list[Optional[tuple[str, ...]]] = [None] * (bound + 1)
@@ -234,24 +246,17 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
         if depth <= cap:
             counts[depth] += 1
             prefix = images[depth - 1]
-            block = h.images[int(rev[0])]
+            c = int(rev[0])
+            block = h.images[c]
             image = images[depth] = prefix + block
             closing[depth] = None
-            if depth > 2:
-                # The two-letter words were tested before the walk.  From
-                # first + longest - 2 letters of prefix on, the last block
-                # is too short for the right half of a square from the
-                # first block that holds the boundary in its left half.
+            if depth > 2:  # the two-letter words were tested before the walk
                 first = len(images[1])
-                if len(prefix) < first + longest - 2:
-                    shortest = (len(image) - first - len(block) + 3) // 2
-                    failed = _square_across(image, len(prefix), shortest)
-                else:
-                    ends = closing[depth - 1]
-                    if ends is None:
-                        ends = closing[depth - 1] = _closing_prefixes(prefix, first, longest)
-                    failed = block.startswith(ends)
-                if failed:
+                ends = closing[depth - 1]
+                if ends is None:
+                    ends = closing[depth - 1] = _closing_prefixes(prefix, first, longest)
+                if block.startswith(ends) or (len(prefix) < first + longest - 2
+                                              and prefix.endswith(opening[c])):
                     failure = (rev[::-1], counts[depth])
                     cap = depth - 1
         if depth >= cap:
@@ -399,7 +404,7 @@ def _first_failing_choices(s: Substitution, w: str, clean: set[str],
         for c, block in levels[-1]:
             prefix = prefixes[-1]
             image = prefix + block
-            if block not in clean or _square_across(image, len(prefix), 1, known):
+            if block not in clean or _square_across(image, len(prefix), known):
                 return choices + [c]
             if len(levels) < len(blocks):
                 choices.append(c)

@@ -62,8 +62,9 @@ _PACKED_HALF = 96
 _LANE_HALF = 7
 _WINDOW = 1 << 14  # letters per window of the short-half pass
 _RUN = 32  # at most _SHORT_HALF + 1, so each grid step a - _RUN + 1 is positive
-# Letters before a boundary that _square_across looks up with str.rfind to
-# find the long halves of squares ending just past it.
+# Matching letters before a boundary past which _square_across and
+# _closing_prefixes find the halves of squares holding it in their right
+# half by str.rfind of the letters before it, not one half at a time.
 _TAIL = 8
 
 # Zero bytes that every run of half equal two-bit lanes holds, by half:
@@ -297,12 +298,12 @@ def _starts_with_square(rev: str) -> bool:
     return _SQUARE_PREFIX.match(rev) is not None
 
 
-def _short_across(x: str, m: int, shortest: int, reach: int) -> bool:
+def _short_across(x: str, m: int, reach: int) -> bool:
     # The halves of _square_across found letter by letter, shortest first:
     # those below n - m with m in their left half, and those up to reach
     # with m in their right half.
     right = len(x) - m
-    for half in range(shortest, max(right, reach + 1)):
+    for half in range(1, max(right, reach + 1)):
         if half < right and x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
             return True
         p = m - half
@@ -311,12 +312,11 @@ def _short_across(x: str, m: int, shortest: int, reach: int) -> bool:
     return False
 
 
-def _square_across(x: str, m: int, shortest: int = 1,
-                   known: Optional[dict] = None) -> bool:
-    # True iff x has a square with half at least shortest, given that x[:m]
-    # and x[m:] are square-free and m < len(x).  Such a square straddles m:
-    # its run of matches covers m when m falls in its left half, and
-    # p = m - half when m falls in its right half.
+def _square_across(x: str, m: int, known: Optional[dict] = None) -> bool:
+    # True iff x has a square, given that x[:m] and x[m:] are square-free
+    # and m < len(x).  Such a square straddles m: its run of matches covers
+    # m when m falls in its left half, and p = m - half when m falls in its
+    # right half.
     #
     # In the second case the square x[s:s + 2*half] ends by n, so the part
     # of its right half before m, x[s + half:m], has at least
@@ -327,26 +327,24 @@ def _square_across(x: str, m: int, shortest: int = 1,
     # first; no half above m - _TAIL - 1 has room for them.
     #
     # known, when given, keeps the verdicts of _short_across by the window
-    # x[lo:], lo = max(0, m - 2 * reach), with n - m and shortest.  The
-    # window is all that _short_across reads: when lo > 0, reach is
-    # n - m + _TAIL, a half with m in its right half reads back to
-    # m - 2 * half >= lo and one with m in its left half, half < n - m <
-    # reach, to m - half + 1; and
+    # x[lo:], lo = max(0, m - 2 * reach), with n - m.  The window is all
+    # that _short_across reads: when lo > 0, reach is n - m + _TAIL, a half
+    # with m in its right half reads back to m - 2 * half >= lo and one with
+    # m in its left half, half < n - m < reach, to m - half + 1; and
     # m - lo = 2 * reach > half, so the backward cap of _anchored_start is
     # half - 1 in the window as in x.  The long halves below read all of x.
     n = len(x)
     reach = min(m, n // 2, n - m + _TAIL)
-    if shortest < n - m or shortest <= reach:  # else _short_across has no half
-        if known is None:
-            short = _short_across(x, m, shortest, reach)
-        else:
-            key = (x[max(0, m - 2 * reach):], n - m, shortest)
-            short = known.get(key)
-            if short is None:
-                short = known[key] = _short_across(x, m, shortest, reach)
-        if short:
-            return True
-    low = max(shortest, n - m + _TAIL + 1)
+    if known is None:
+        short = _short_across(x, m, reach)
+    else:
+        key = (x[max(0, m - 2 * reach):], n - m)
+        short = known.get(key)
+        if short is None:
+            short = known[key] = _short_across(x, m, reach)
+    if short:
+        return True
+    low = n - m + _TAIL + 1
     high = min(n // 2, m - _TAIL - 1)
     if low <= high:
         z = x[m - _TAIL:m]

@@ -27,3 +27,13 @@ def brute_closing_squares(x, b, before):
     return sorted({L for s in range(min(before, m))
                    for L in range((m - s) // 2 + 1, min(m - s, (len(y) - s) // 2) + 1)
                    if y[s:s + L] == y[s + L:s + 2 * L]})
+
+
+def brute_opening_squares(p, b):
+    """Halves L of the squares y[s:s + 2L] of y = p + b with
+    s < len(p) <= s + L, so that len(p) falls in the left half or at the
+    middle."""
+    y, m = p + b, len(p)
+    return sorted({L for s in range(m)
+                   for L in range(m - s, (len(y) - s) // 2 + 1)
+                   if y[s:s + L] == y[s + L:s + 2 * L]})

@@ -167,6 +167,8 @@ def test_certify_substitution_stretch_golden():
 @pytest.mark.parametrize("argv, message", [
     (["shuffle", "01", "01", "0001"], "beta has 3 zeros but the first operand has 2 letters"),
     (["fixed-point", "rho", "--length", "5"], "fixed points need images over the source alphabet"),
+    (["shuffle", "01", "01", "01x1"], "conducting sequences are binary, got letter 'x'"),
+    (["enumerate", "--max-length", "2"], "table rows start at length 4, got 2"),
 ])
 def test_library_rejections_are_usage_errors(argv, message):
     assert out(argv) == (f"error: {message}", 2)

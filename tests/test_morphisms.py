@@ -324,8 +324,8 @@ def test_first_failing_letter_ends_the_walk():
 def test_square_holding_the_last_boundary_in_its_left_half():
     # h(012) = 0.1.2012 is the square 012012, whose left half holds the
     # last block boundary: the prefix image 01 has first block + M - 3
-    # letters, M = 4, so the node 01 tests its children across the
-    # boundary, not by closing prefixes.
+    # letters, M = 4, so the node 012 also reads the opening suffixes of
+    # its block 2012, and 01 ends with one of them, 01 itself.
     h = Morphism(3, 3, ("0", "1", "2012"))
     cert = certify_square_free_morphism(h)
     assert cert == reference_certify_morphism(h)
@@ -342,43 +342,62 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     h = Morphism(3, 3, tuple(images))
     events = []
     square_free_words = morphisms._square_free_words
-    square_across = morphisms._square_across
     monkeypatch.setattr(morphisms, "_square_free_words", lambda letters, limit:
                         events.append(("walk", limit)) or square_free_words(letters, limit))
-    monkeypatch.setattr(morphisms, "_square_across",
-                        lambda *args: events.append("across") or square_across(*args))
+    monkeypatch.setattr(morphisms, "_square_across", lambda *args: events.append("across"))
     cert = certify_square_free_morphism(h)
-    # The pair pass tests squares, then the walk starts at one letter and
-    # tests none.
-    assert events[-1] == ("walk", 1) and "across" in events
+    # The pair pass refutes by closing prefixes and opening suffixes, with
+    # no boundary scan, and the walk stops at one letter.
+    assert events == [("walk", 1)]
     assert cert == reference_certify_morphism(h)
     assert cert.counterexample[0] in ("10", "12")
 
 
+def endswith_reads(f, *args):
+    """f(*args) and the strings that called str.endswith in f's own frame,
+    seen as c_call events of a profile function."""
+    read = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is f.__code__ and arg.__name__ == "endswith":
+            read.append(arg.__self__)
+
+    sys.setprofile(profile)
+    try:
+        result = f(*args)
+    finally:
+        sys.setprofile(None)
+    return result, read
+
+
 def test_deep_nodes_test_only_their_closing_prefixes(monkeypatch):
-    # Certifying sigma_17 calls _square_across for the 6 two-letter words
-    # and at the shallow nodes only: 101, 102, 201 and 202, whose prefix
-    # images are shorter than first block + 29 - 2 letters.  Every deeper
-    # child reads its parent's closing prefixes, computed once per parent
-    # that has a child.
+    # Certifying sigma_17 lists the closing prefixes of each letter image
+    # as a first block, then those of each image reversed, its opening
+    # suffixes.  Every walk node from depth 3 on reads its parent's closing
+    # prefixes, computed once per parent that has a child.  The opening
+    # suffixes are read by the 6 two-letter words and by the shallow nodes
+    # only, 101, 102, 201 and 202, whose prefix images are shorter than
+    # first block + 29 - 2 letters.
     h = catalog.get_morphism("sigma_17")
     shallow = [w for length in (3, 4) for w in enumerate_square_free(3, length)
                if len(apply_morphism(h, w[:-1])) < len(h.images[int(w[0])]) + 29 - 2]
     assert shallow == ["101", "102", "201", "202"]
-    across, closing = [], []
-    square_across = morphisms._square_across
+    closing = []
     closing_prefixes = morphisms._closing_prefixes
-    monkeypatch.setattr(morphisms, "_square_across",
-                        lambda *args: across.append(args[0]) or square_across(*args))
     monkeypatch.setattr(morphisms, "_closing_prefixes",
                         lambda *args: closing.append(args[0]) or closing_prefixes(*args))
-    cert = certify_square_free_morphism(h)
+    monkeypatch.setattr(morphisms, "_square_across", None)
+    cert, read = endswith_reads(certify_square_free_morphism, h)
     assert cert == Certificate(cert.subject, "certified", 27, 66189)
-    assert len(across) == 6 + len(shallow)
-    assert sorted(across[6:]) == sorted(apply_morphism(h, w) for w in shallow)
+    assert closing[:6] == list(h.images) + [img[::-1] for img in h.images]
+    # each pair ab reads the first block h(a)
+    assert read == [h.images[a] for a in (0, 0, 1, 1, 2, 2)] + [apply_morphism(h, w[:-1]) for w in shallow]
     # the images of distinct source words differ, as no image of sigma_17
-    # is a prefix of another
-    assert len(closing) == len(set(closing)) == 48910
+    # is a prefix of another; the parents 10 and 20 of the shallow nodes
+    # are among them
+    walk = closing[6:]
+    assert len(walk) == len(set(walk)) == 48912
+    assert {apply_morphism(h, w) for w in ("10", "20")} <= set(walk)
 
 
 # (verdict, bound_used, checked_count, counterexample) of every catalog

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from brute import brute_closing_squares, brute_ends_in_square, brute_find_square
+from brute import brute_closing_squares, brute_ends_in_square, brute_find_square, brute_opening_squares
 from shufflecraft import catalog, words
 from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
@@ -420,12 +420,6 @@ def test_square_across_a_boundary(w, data):
         assert _square_across(w, m) == (brute_find_square(w) is not None)
 
 
-def square_halves(w):
-    """Halves of all squares in w, straight from the definition."""
-    return {h for i in range(len(w)) for h in range(1, (len(w) - i) // 2 + 1)
-            if w[i:i + h] == w[i + h:i + 2 * h]}
-
-
 @st.composite
 def long_boundaries(draw):
     """An h18 factor of 60-300 letters, then a square-free right part of
@@ -442,19 +436,16 @@ def long_boundaries(draw):
     if draw(st.booleans()):
         i = draw(st.integers(0, size - 1))
         right = right[:i] + draw(st.sampled_from("012")) + right[i + 1:]
-    return left, right, draw(st.sampled_from([1, 1, 2, 5, 10, 30]))
+    return left, right
 
 
 @settings(deadline=None, max_examples=300)
 @given(long_boundaries())
 def test_square_across_long_words(case):
-    left, right, shortest = case
+    left, right = case
     assume(is_square_free(right))
     w = left + right
-    expected = any(h >= shortest for h in square_halves(w))
-    assert _square_across(w, len(left), shortest) == expected
-    if shortest == 1:
-        assert expected == (brute_find_square(w) is not None)
+    assert _square_across(w, len(left)) == (brute_find_square(w) is not None)
 
 
 @pytest.mark.parametrize("tail", [None, 1, 20])
@@ -465,8 +456,7 @@ def test_square_across_planted_long_halves(monkeypatch, tail):
     # above n - m + _TAIL come from str.rfind.  The cases kill these
     # mutants: its end bound one short (j = len(t) + _TAIL + 1), its start
     # bound one late (p empty, where the half is n // 2), the per-half loop
-    # stopping at n - m (j up to _TAIL), and the rfind halves not held to
-    # shortest (shortest = half + 1).
+    # stopping at n - m (j up to _TAIL).
     if tail is not None:
         monkeypatch.setattr(words, "_TAIL", tail)
     h18 = catalog.get_morphism("h18")
@@ -475,28 +465,26 @@ def test_square_across_planted_long_halves(monkeypatch, tail):
         before, u, after = (apply_morphism(h18, x) for x in (b, v, a))
         for p_size, t_size in [(0, 0), (0, 3), (1, 0), (9, 0), (4, 11)]:
             w = before[len(before) - p_size:] + u + u + after[:t_size]
-            halves = square_halves(w)
+            expected = brute_find_square(w) is not None
             for j in range(len(u)):
                 m = p_size + len(u) + j
                 assert is_square_free(w[:m]) and is_square_free(w[m:])
                 through_rfind += len(u) > len(w) - m + words._TAIL
-                for shortest in (1, 2, len(u), len(u) + 1):
-                    expected = any(h >= shortest for h in halves)
-                    assert _square_across(w, m, shortest) == expected, (v, p_size, t_size, j, shortest)
+                assert _square_across(w, m) == expected, (v, p_size, t_size, j)
     assert through_rfind >= 100
 
 
 @st.composite
 def boundary_streams(draw):
     """Boundary tests that share windows: square-free parts over 2 or 3
-    letters and a least half.  Each test splits one of a few base words at
-    one of its boundaries and keeps a suffix, so one window recurs at
-    boundaries of different absolute positions, one word is split at
-    different boundaries, and windows are clamped by the start of the
-    word.  A base word is a binary one, an h18 factor and a right part, or
-    b u u t from h18 images of square-free words with its boundaries in
-    the second u, so that squares of half |u| cross the boundary with most
-    of their right half before it."""
+    letters.  Each test splits one of a few base words at one of its
+    boundaries and keeps a suffix, so one window recurs at boundaries of
+    different absolute positions, one word is split at different
+    boundaries, and windows are clamped by the start of the word.  A base
+    word is a binary one, an h18 factor and a right part, or b u u t from
+    h18 images of square-free words with its boundaries in the second u,
+    so that squares of half |u| cross the boundary with most of their
+    right half before it."""
     h18 = catalog.get_morphism("h18")
     bases = []
     for _ in range(draw(st.integers(1, 3))):
@@ -505,7 +493,7 @@ def boundary_streams(draw):
             w = draw(st.sampled_from(["010", "101", "01", "10"]))
             ms = range(1, len(w))
         elif kind == "factor":
-            left, right, _ = draw(long_boundaries())
+            left, right = draw(long_boundaries())
             if not is_square_free(right):
                 continue
             w, ms = left + right, [len(left)]
@@ -526,22 +514,21 @@ def boundary_streams(draw):
         w, ms = draw(st.sampled_from(bases))
         m = draw(st.one_of(st.just(ms[-1]), st.sampled_from(ms)))
         cut = draw(st.one_of(st.just(0), st.integers(0, m)))
-        stream.append((w[cut:], m - cut, draw(st.sampled_from([1, 1, 2, 5, 30]))))
+        stream.append((w[cut:], m - cut))
     return stream
 
 
-def assert_memo_agrees(known, x, m, shortest):
-    expected = any(h >= shortest for h in square_halves(x))
-    assert _square_across(x, m, shortest, known) == _square_across(x, m, shortest) == expected, \
-        (x, m, shortest)
+def assert_memo_agrees(known, x, m):
+    expected = brute_find_square(x) is not None
+    assert _square_across(x, m, known) == _square_across(x, m) == expected, (x, m)
 
 
 @settings(deadline=None, max_examples=300)
 @given(boundary_streams())
 def test_memoized_square_across_matches_brute_force(stream):
     known = {}
-    for x, m, shortest in stream:
-        assert_memo_agrees(known, x, m, shortest)
+    for x, m in stream:
+        assert_memo_agrees(known, x, m)
 
 
 def test_memo_windows_across_boundaries():
@@ -557,25 +544,21 @@ def test_memo_windows_across_boundaries():
     assert is_square_free(w[:m]) and is_square_free(w[m:]) and 9 < lo
     known = {}
     # the window itself, its boundary at 2 * reach: no square
-    assert_memo_agrees(known, w[lo:], 2 * reach, 1)
+    assert_memo_agrees(known, w[lo:], 2 * reach)
     assert len(known) == 1
     # the same window at boundary m: the short verdict is read back, and
     # the square of half len(u) > reach still comes from the long halves;
     # then at m - lo + 1 in a suffix that cuts the square off
-    assert_memo_agrees(known, w, m, 1)
-    assert_memo_agrees(known, w[lo - 1:], m - lo + 1, 1)
-    assert len(known) == 1 and _square_across(w, m, 1, known)
+    assert_memo_agrees(known, w, m)
+    assert_memo_agrees(known, w[lo - 1:], m - lo + 1)
+    assert len(known) == 1 and _square_across(w, m, known)
     # a clamped window, m < 2 * reach: the whole word is the window
-    assert_memo_agrees(known, w[lo + 1:], m - lo - 1, 1)
+    assert_memo_agrees(known, w[lo + 1:], m - lo - 1)
     assert len(known) == 2
-    # the same window at other boundaries and least halves
-    for shortest in (2, len(u), len(u) + 1):
-        assert_memo_agrees(known, w, m, shortest)
-        assert_memo_agrees(known, w[lo:], 2 * reach, shortest)
     # one clamped window at two boundaries: the square uu has a long half
     # at the first and a short one at the second
     for j in (18, 3):
-        assert_memo_agrees(known, u + u, len(u) + j, 1)
+        assert_memo_agrees(known, u + u, len(u) + j)
 
 
 def random_square_free(rng, size):
@@ -642,6 +625,54 @@ def test_closing_prefixes_match_brute_force():
         squares += bool(halves)
         through_rfind += bool(halves) and halves[0] <= len(x) - before - words._TAIL
     assert squares >= 500 and through_rfind >= 200
+
+
+def opening_case(rng):
+    """A prefix p and a block b.  Either p is an h18 factor and b its
+    continuation or a random square-free word, or p + b holds the square
+    x x of an h18 factor x with the boundary at offset j of its left half,
+    1 <= j <= |x|, and p keeps 0-9 letters before x, so that p is often
+    shorter than b; b is x[j:] x and a few more letters, kept only when it
+    is square-free.  Half the cases then change one of b's letters or one
+    of p's last three."""
+    x_size = rng.randint(2, 16)
+    i = rng.randrange(20, len(H18_WORD) - 60)
+    x = H18_WORD[i:i + x_size]
+    j = rng.randint(1, x_size)
+    p = H18_WORD[i - rng.randrange(10):i + j]
+    b = x[j:] + x + H18_WORD[i + x_size:i + x_size + rng.randrange(5)]
+    if rng.randrange(3) == 0 or not is_square_free(b):
+        start = rng.randrange(2500)
+        p = H18_WORD[start:start + rng.randint(1, 60)]
+        size = rng.randint(1, 30)
+        b = (H18_WORD[start + len(p):start + len(p) + size] if rng.randrange(2)
+             else random_square_free(rng, size))
+    if rng.random() < 0.5:
+        if rng.randrange(2):
+            k = rng.randrange(len(b))
+            b = b[:k] + rng.choice([c for c in "012" if c != b[k]]) + b[k + 1:]
+        else:
+            k = len(p) - 1 - rng.randrange(min(3, len(p)))
+            p = p[:k] + rng.choice([c for c in "012" if c != p[k]]) + p[k + 1:]
+    return p, b
+
+
+def test_opening_suffixes_match_brute_force():
+    # The opening suffixes of a block b, as the morphism walk lists them:
+    # the closing prefixes of b reversed, with any start and up to |b|
+    # letters, each reversed back.  p ends with one exactly when p + b has
+    # a square with len(p) in its left half or at its middle.
+    rng = random.Random(24)
+    squares = short_prefixes = 0
+    for _ in range(3000):
+        p, b = opening_case(rng)
+        opening = tuple(r[::-1] for r in _closing_prefixes(b[::-1], len(b), len(b)))
+        assert all(len(r) <= len(b) for r in opening)
+        halves = brute_opening_squares(p, b)
+        assert p.endswith(opening) == bool(halves), (p, b)
+        squares += bool(halves)
+        short_prefixes += bool(halves) and len(p) < len(b)
+    assert squares >= 1000 and short_prefixes >= 200
 
 
 def test_letters_beyond_ascii():
