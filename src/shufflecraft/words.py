@@ -373,7 +373,8 @@ def _closing_prefixes(x: str, before: int, longest: int) -> tuple[str, ...]:
     # the halves with room for both lie in [lo, hi].  Each half up to top
     # needs c > _TAIL, and c >= k for the k below, so the last k letters of
     # x, z, recur ending at m - L: str.rfind finds those halves, and the
-    # others are tested one by one.  The bounds are taken by comparison,
+    # others are tested one by one, with c = 0 and no call when its cap is
+    # 0 or x[m - L - 1] != x[m - 1].  The bounds are taken by comparison,
     # not min and max, as a walk calls this once per node.
     m = len(x)
     lo = (m - before + 3) // 2
@@ -399,9 +400,11 @@ def _closing_prefixes(x: str, before: int, longest: int) -> tuple[str, ...]:
             q = x.rfind(z, before - 1, q + k - 1)
     closing = []
     for half in halves:
-        c = _match_back(x, m - half, m, min(m - half, half - 1))
-        if m - half - c < before and half - c <= longest:
-            closing.append(x[m - half:m - c])
+        p = m - half
+        cap = p if p < half else half - 1
+        c = _match_back(x, p, m, cap) if cap and x[p - 1] == x[m - 1] else 0
+        if p - c < before and half - c <= longest:
+            closing.append(x[p:m - c])
     return tuple(closing)
 
 

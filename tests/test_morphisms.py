@@ -1,10 +1,14 @@
+import ast
+import itertools
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brute import brute_find_square
-from shufflecraft import catalog, morphisms, words
+from shufflecraft import catalog, morphisms, search, shuffle, words
 from shufflecraft.morphisms import (
     Certificate,
     Morphism,
@@ -574,6 +578,69 @@ def test_search_finds_the_longest_catalog_map():
 def test_search_rejects_bad_arguments_up_front(args, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         search_uniform_square_free_morphism(*args)
+
+
+def test_pair_tables_match_brute_force():
+    # x + y has a square exactly when the search's pair test says so, for
+    # every ordered pair of ternary square-free words of 5-9 letters and
+    # 3,000 random pairs each of 13, 18 and 22 letters.  Some squares only
+    # the opening suffixes of y catch, and some pairs are square-free.
+    rng = random.Random(25)
+    total = squares = opening_only = 0
+    for length in (5, 6, 7, 8, 9, 13, 18, 22):
+        candidates = list(enumerate_square_free(3, length))
+        if length < 10:
+            pairs = list(itertools.product(candidates, repeat=2))
+        else:
+            pairs = [(rng.choice(candidates), rng.choice(candidates)) for _ in range(3000)]
+        strings = {}
+        tables = {x: morphisms._boundary_tables(x, strings) for pair in pairs for x in pair}
+        total += len(pairs)
+        for x, y in pairs:
+            square = morphisms._pair_square(x, y, tables[x], tables[y])
+            assert square == (brute_find_square(x + y) is not None), (x, y)
+            squares += square
+            opening_only += square and not y.startswith(tables[x][0])
+    assert squares >= 25000 and opening_only >= 2500 and total - squares >= 3000
+
+
+# The least budget at which each search comes back found, and the number
+# of placements each exhausting search makes, found by bisection with
+# reference_search.  Outcomes are monotone in the budget, so agreeing one
+# below the count and at it pins the count.
+BUDGET_PINS = [(3, 11, "found", 1337), (3, 12, "found", 819), (3, 13, "found", 55892),
+               (5, 18, "found", 64106), (3, 8, "exhausted", 9906),
+               (3, 9, "exhausted", 38988), (3, 10, "exhausted", 64080)]
+
+
+@pytest.mark.parametrize("src_k, image_length, status, count", BUDGET_PINS)
+def test_search_spends_what_whole_word_placement_spends(src_k, image_length, status, count):
+    for budget, expected in ((count - 1, "budget"), (count, status)):
+        result = reference_search(src_k, 3, image_length, budget)
+        assert result.status == expected
+        assert search_uniform_square_free_morphism(src_k, 3, image_length, budget) == result
+
+
+def test_uniform_ternary_maps_of_14_to_17_letters():
+    # No square-free ternary map is 14- or 15-uniform.  The first 16-uniform
+    # map found is pinned, and the first 17-uniform one is the catalog's h17.
+    for image_length in (14, 15):
+        assert search_uniform_square_free_morphism(3, 3, image_length, None).status == "exhausted"
+    assert search_uniform_square_free_morphism(3, 3, 16).morphism.images == (
+        "0102012101202102", "0102120210120212", "0121021201021012")
+    assert search_uniform_square_free_morphism(3, 3, 17).morphism == catalog.get_morphism("h17")
+
+
+def test_no_function_calls_itself():
+    # The walks, the shuffle engine and the search keep their paths on
+    # explicit stacks, so input size never meets the recursion limit.
+    for module in (words, search, shuffle, morphisms):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {node.func.id for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+                assert function.name not in called, f"{module.__name__}.{function.name}"
 
 
 @settings(deadline=None, max_examples=150)
