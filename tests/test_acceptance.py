@@ -27,7 +27,13 @@ from shufflecraft.morphisms import (
     substitution_test_length,
 )
 from shufflecraft.search import distinct_self_shuffles, enumeration_row
-from shufflecraft.shuffle import dual_word, find_conducting, perfect_shuffle, shuffle_conducted
+from shufflecraft.shuffle import (
+    dual_word,
+    find_conducting,
+    perfect_shuffle,
+    shuffle_conducted,
+    verify_witness,
+)
 from shufflecraft.words import enumerate_square_free, is_square_free, parikh
 
 # Counts per even length: square-free words, square-free self-shuffle words,
@@ -168,10 +174,12 @@ def test_criterion_07_full_length_coverage():
         "base": 19, "composition": 316, "factor": 707,
         "sigma5-pipeline": 484, "substitution-interval": 446, "direct-search": 26,
     }
-    for n in (5202, 5203, 5219, 6000):
+    # construct checks a lifted witness by its derivation; every witness is
+    # verified here again from the definitions.
+    for n in (*range(3, 2001), 5202, 5203, 5219, 6000):
         witness, _ = construct_with_strategy(n)
         assert len(witness.u) == n
-        assert witness.verify()
+        assert verify_witness(witness)
 
 
 def test_criterion_08_block_shuffle_prefix():

@@ -247,9 +247,116 @@ def test_construct_boundary_rejects_a_bad_build(tmp_path, monkeypatch):
     good = catalog.base_witnesses()[19]
     tampered = ShuffleWitness(good.u, good.beta, good.w[:-1] + "0")
     assert not tampered.verify()
-    monkeypatch.setattr(construct, "_build", lambda n: (tampered, "base"))
+    monkeypatch.setattr(construct, "_build", lambda n: (tampered, "base", None))
     with pytest.raises(AssertionError):
         construct_with_strategy(19)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_boundary_rejects_a_bad_lift(tmp_path, monkeypatch):
+    # The same tampering on a witness lifted through h17: the derivation
+    # check, not verify_witness, must refuse it.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+    step = construct._Lift("h17", catalog.get_morphism("h17"), None, catalog.base_witnesses()[19])
+    good = construct._lifted(step)
+    assert construct._check_lift(good, step)
+    tampered = ShuffleWitness(good.u, good.beta, good.w[:-1] + ("1" if good.w[-1] == "0" else "0"))
+    assert not tampered.verify()
+    monkeypatch.setattr(construct, "_build", lambda n: (tampered, "factor", step))
+    with pytest.raises(AssertionError):
+        construct_with_strategy(17 * 19)
+    assert list(tmp_path.iterdir()) == []
+
+
+LIFTED = [(57, "factor"), (301, "substitution-interval"), (919, "sigma5-pipeline")]
+
+
+def _flip(word, i):
+    return word[:i] + "012"[(int(word[i]) + 1) % 3] + word[i + 1:]
+
+
+def _swap(beta, i):
+    return beta[:i] + beta[i + 1] + beta[i] + beta[i + 2:]
+
+
+@pytest.fixture
+def lift_of(tmp_path, monkeypatch):
+    # The witness _build makes for n, checked by its step.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+
+    def build(n, strategy):
+        witness, got, step = construct._build(n)
+        assert got == strategy and step is not None
+        assert construct._check_lift(witness, step)
+        return witness, step
+    return build
+
+
+@pytest.mark.parametrize("n, strategy", LIFTED)
+def test_lift_check_refuses_a_tampered_witness(lift_of, n, strategy):
+    witness, step = lift_of(n, strategy)
+    u, beta, w = witness.u, witness.beta, witness.w
+    # Swapping two adjacent bits keeps beta balanced; take the first swap
+    # past the middle that changes what beta conducts, so w is left wrong.
+    i = next(i for i in range(n, 2 * n - 1) if shuffle_conducted(u, u, _swap(beta, i)) != w)
+    for bad in (ShuffleWitness(_flip(u, n // 2), beta, w), ShuffleWitness(u, beta, _flip(w, n)),
+                ShuffleWitness(u, _swap(beta, i), w),
+                # u is the image and w is u conducted with itself, but 0^n 1^n
+                # is not the lift of the inner beta: w = uu is no image of it.
+                ShuffleWitness(u, "0" * n + "1" * n, u + u)):
+        assert not bad.verify()
+        assert not construct._check_lift(bad, step)
+
+
+@pytest.mark.parametrize("n, strategy", LIFTED)
+def test_lift_check_refuses_a_refuted_certificate(lift_of, monkeypatch, n, strategy):
+    witness, step = lift_of(n, strategy)
+    real = construct._certificate
+    # The step's own map, and in the pipeline the seed's map below it.
+    for refuted in [s for s in (step, step.inner_step) if s is not None]:
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, "_certificate", lambda h: (
+                morphisms.Certificate("h", "refuted", 0, 0) if h is refuted.h else real(h)))
+            assert not construct._check_lift(witness, step)
+
+
+def test_lift_check_refuses_a_map_that_is_refuted():
+    # A lift through sigma, refuted by a square in an image of a 3-letter
+    # word, agrees letter for letter with its inner witness.
+    sigma = catalog.get_morphism("sigma")
+    assert not morphisms._certificate(sigma).certified
+    inner = catalog.base_witnesses()[19]
+    lifted = shuffle._lift_witness(inner, sigma)
+    assert not construct._check_lift(lifted, construct._Lift("sigma", sigma, None, inner))
+
+
+def test_lift_check_refuses_letters_outside_the_source_alphabet():
+    # h17 maps 0-2; the seed's letters 3 and 4 would pass through its image
+    # unmapped, where the certificate says nothing, so the step is refused
+    # though every comparison agrees.
+    h17 = catalog.get_morphism("h17")
+    inner = sigma5_witness(5)
+    size = [17 if a in "012" else 1 for a in inner.u]
+    beta = "".join("01"[side] * sum(size[start:stop])
+                   for side, start, stop in shuffle._runs(inner.beta, 5, 5))
+    u = morphisms._image(h17, inner.u)
+    lifted = ShuffleWitness(u, beta, shuffle_conducted(u, u, beta))
+    assert lifted.w == morphisms._image(h17, inner.w)
+    assert not construct._check_lift(lifted, construct._Lift("h17", h17, None, inner))
+
+
+def test_pipeline_seed_is_verified_from_the_definitions(tmp_path, monkeypatch):
+    # A seed that is consistent but whose w is the square uu: every lift of
+    # it agrees with it letter for letter, and only verify_witness on the
+    # seed refuses it.
+    monkeypatch.setenv("SHUFFLECRAFT_CACHE_DIR", str(tmp_path))
+
+    def squared_seed(m):
+        u = sigma5_witness(m).u
+        return ShuffleWitness(u, "0" * m + "1" * m, u + u)
+    monkeypatch.setattr(construct, "sigma5_witness", squared_seed)
+    with pytest.raises(AssertionError):
+        construct_with_strategy(919)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -304,6 +411,7 @@ def test_construct_lifts_only_through_catalog_maps():
     maps = [catalog.find_entry(name).payload for name in catalog.entry_names()
             if catalog.find_entry(name).kind == "morphism"]
     for table in (construct._uniform_ternary(), construct._uniform_five_to_three()):
-        for length, h in table.items():
+        for length, (name, h) in table.items():
             assert h.max_image_length == length
             assert any(h is m for m in maps)
+            assert catalog.get_morphism(name) is h
