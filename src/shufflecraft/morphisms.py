@@ -19,7 +19,7 @@ from .words import (
     DIGITS,
     SquareOccurrence,
     _closing_prefixes,
-    _square_across,
+    _opening_suffixes,
     _square_free_words,
     check_word,
     enumerate_square_free,
@@ -211,12 +211,9 @@ def certify_square_free_morphism(h: Morphism, subject: str = "") -> Certificate:
     letters = DIGITS[:h.src_size]
     longest = h.max_image_length
     # The closing prefixes of each letter image as a first block, and its
-    # opening suffixes, the closing prefixes of the image reversed, reversed
-    # back: a word p ends with one of those of h(c) exactly when p + h(c)
-    # has a square holding len(p) in its left half or at its middle.
+    # opening suffixes.
     starts = [_closing_prefixes(img, len(img), longest) for img in h.images]
-    opening = [tuple(r[::-1] for r in _closing_prefixes(img[::-1], len(img), len(img)))
-               for img in h.images]
+    opening = [_opening_suffixes(img) for img in h.images]
     counts = [0] * (bound + 1)  # square-free source words visited per length
     cap = bound
     failure: Optional[tuple[str, int]] = None  # (word, its rank at its length)
@@ -339,19 +336,30 @@ def certify_square_free_substitution(
     letter, so a certified count is k times theirs.  The first failing
     word in lexicographic order starts with 0, as does every word before
     it, so a refutation, its count and its square are those of the full
-    sweep.
+    sweep.  The image choices of a word are walked depth first, and a
+    square-free block b extends a node's image p square-free iff b starts
+    with none of p's closing prefixes and p ends with none of b's opening
+    suffixes, listed once per image.  The closing prefixes of the squares
+    starting in p's last two blocks a + c are those of a + c, listed once
+    per pair; a node lists only those of the squares starting before,
+    whose halves exceed |a + c| / 2.  stretch takes about 0.02 s on a
+    2-vCPU x86 host.
     """
     length = substitution_test_length(s) if test_word_length is None else test_word_length
     props_ok = all(check_substitution_properties(s))
-    clean = {img for images in s.image_sets for img in images if is_square_free(img)}
+    # The opening suffixes of each square-free image, and the closing
+    # prefixes of each two, a = "" for a first block.
+    clean = {img: _opening_suffixes(img) for images in s.image_sets for img in images
+             if is_square_free(img)}
+    pairs = {(a, c): _closing_prefixes(a + c, len(a + c), s.max_image_length)
+             for a in ("", *clean) for c in clean}
     classes = _rotation_classes(s) if length else 1
-    known: dict = {}  # short boundary verdicts, shared by the whole sweep
     checked = 0
     for w in enumerate_square_free(s.src_size, length):
         if classes > 1 and w[0] != "0":
             break
         checked += 1
-        failing = _first_failing_choices(s, w, clean, known)
+        failing = _first_failing_choices(s, w, clean, pairs)
         if failing is not None:
             # Every image under this choice prefix has a square, so its
             # completion by choice 0 is the first failing image in the
@@ -390,33 +398,39 @@ def _rotation_classes(s: Substitution) -> int:
     return k
 
 
-def _first_failing_choices(s: Substitution, w: str, clean: set[str],
-                           known: dict) -> Optional[list[int]]:
+def _first_failing_choices(s: Substitution, w: str, clean: dict[str, tuple[str, ...]],
+                           pairs: dict) -> Optional[list[int]]:
     # Depth-first over image choices for the letters of w, sharing each
     # image prefix among all its completions.  Returns the least choice
     # prefix whose image has a square, or None when every image of w is
     # square-free.  A new block is square-free by itself when it is in
-    # clean, so only squares across its left boundary remain to test.
+    # clean, so only squares across its left boundary remain, tested as
+    # certify_square_free_substitution says.
+    longest = s.max_image_length
     blocks = [s.image_sets[int(a)] for a in w]
     choices: list[int] = []  # choices[d]: the image chosen for w[d], above the level tried
-    prefixes = [""]  # prefixes[d]: the image of w[:d] under those choices
+    # nodes[d]: the image of w[:d] under those choices and its closing prefixes
+    nodes: list[tuple[str, tuple[str, ...]]] = [("", ())]
     levels = [iter(enumerate(blocks[0]))] if blocks else []
     while levels:
         for c, block in levels[-1]:
-            prefix = prefixes[-1]
-            image = prefix + block
-            if block not in clean or _square_across(image, len(prefix), known):
+            prefix, ends = nodes[-1]
+            if block not in clean or block.startswith(ends) or prefix.endswith(clean[block]):
                 return choices + [c]
-            if len(levels) < len(blocks):
+            depth = len(levels)
+            if depth < len(blocks):
+                a = blocks[depth - 2][choices[-1]] if choices else ""
+                image = prefix + block
+                nodes.append((image, pairs[a, block]
+                              + _closing_prefixes(image, len(prefix) - len(a), longest)))
                 choices.append(c)
-                prefixes.append(image)
-                levels.append(iter(enumerate(blocks[len(levels)])))
+                levels.append(iter(enumerate(blocks[depth])))
                 break
         else:
             levels.pop()
             if levels:
                 choices.pop()
-                prefixes.pop()
+                nodes.pop()
     return None
 
 
@@ -483,8 +497,13 @@ def search_uniform_square_free_morphism(
     that start with a closing prefix of a placed image are ranges of the
     sorted list, marked in a mask per depth that bytearray.find skips, each
     counted as a placement tried, so the result and the budget accounting
-    are those of testing every placement.  Only triple images are scanned.
-    (5, 3, 22) takes about 0.15 s and peaks at 1.3 MB traced on a 2-vCPU
+    are those of testing every placement.  A triple word needs no scan
+    either: with x + y and y + z square-free and all three of length L, a
+    square of x + y + z lies in neither pair, so it starts in x and ends in
+    z.  Had it the boundary 2L in its left half, its half would exceed L
+    and its end pass 3L.  So it holds 2L in its right half, and exists iff
+    z starts with a closing prefix of x + y from a start below L.
+    (5, 3, 22) takes about 0.14 s and peaks at 1.3 MB traced on a 2-vCPU
     x86 host.
     """
     for name, size in (("src_k", src_k), ("dst_k", dst_k)):
@@ -535,8 +554,8 @@ def search_uniform_square_free_morphism(
             table = tables[y] = (_boundary_table(image, strings, 0), table[1])
         placed.append(y)
         if (any(_pair_square(image, candidates[x], table, tables[x]) for x in placed[:-1])
-                or any(_square_across(candidates[placed[a]] + candidates[placed[b]]
-                                      + candidates[placed[c]], 2 * image_length)
+                or any(candidates[placed[c]].startswith(_closing_prefixes(
+                    candidates[placed[a]] + candidates[placed[b]], image_length, image_length))
                        for a, b, c in triple_words[len(placed) - 1])):
             placed.pop()
         elif len(placed) < src_k:

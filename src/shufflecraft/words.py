@@ -62,9 +62,9 @@ _PACKED_HALF = 96
 _LANE_HALF = 7
 _WINDOW = 1 << 14  # letters per window of the short-half pass
 _RUN = 32  # at most _SHORT_HALF + 1, so each grid step a - _RUN + 1 is positive
-# Matching letters before a boundary past which _square_across and
-# _closing_prefixes find the halves of squares holding it in their right
-# half by str.rfind of the letters before it, not one half at a time.
+# Matching letters before a boundary past which _closing_prefixes finds the
+# halves of squares holding it in their right half by str.rfind of the
+# letters before it, not one half at a time.
 _TAIL = 8
 
 # Zero bytes that every run of half equal two-bit lanes holds, by half:
@@ -298,66 +298,6 @@ def _starts_with_square(rev: str) -> bool:
     return _SQUARE_PREFIX.match(rev) is not None
 
 
-def _short_across(x: str, m: int, reach: int) -> bool:
-    # The halves of _square_across found letter by letter, shortest first:
-    # those below n - m with m in their left half, and those up to reach
-    # with m in their right half.
-    right = len(x) - m
-    for half in range(1, max(right, reach + 1)):
-        if half < right and x[m] == x[m + half] and _anchored_start(x, m, half) >= 0:
-            return True
-        p = m - half
-        if half <= reach and x[p] == x[m] and _anchored_start(x, p, half) >= 0:
-            return True
-    return False
-
-
-def _square_across(x: str, m: int, known: Optional[dict] = None) -> bool:
-    # True iff x has a square, given that x[:m] and x[m:] are square-free
-    # and m < len(x).  Such a square straddles m: its run of matches covers
-    # m when m falls in its left half, and p = m - half when m falls in its
-    # right half.
-    #
-    # In the second case the square x[s:s + 2*half] ends by n, so the part
-    # of its right half before m, x[s + half:m], has at least
-    # half - (n - m) letters, and it matches the letters before p.  Once
-    # half > n - m + _TAIL that is more than _TAIL letters, so s < p - _TAIL
-    # and the last _TAIL letters before m, z, also end at p.  Those halves
-    # come from the occurrences of z, found by str.rfind, shortest half
-    # first; no half above m - _TAIL - 1 has room for them.
-    #
-    # known, when given, keeps the verdicts of _short_across by the window
-    # x[lo:], lo = max(0, m - 2 * reach), with n - m.  The window is all
-    # that _short_across reads: when lo > 0, reach is n - m + _TAIL, a half
-    # with m in its right half reads back to m - 2 * half >= lo and one with
-    # m in its left half, half < n - m < reach, to m - half + 1; and
-    # m - lo = 2 * reach > half, so the backward cap of _anchored_start is
-    # half - 1 in the window as in x.  The long halves below read all of x.
-    n = len(x)
-    reach = min(m, n // 2, n - m + _TAIL)
-    if known is None:
-        short = _short_across(x, m, reach)
-    else:
-        key = (x[max(0, m - 2 * reach):], n - m)
-        short = known.get(key)
-        if short is None:
-            short = known[key] = _short_across(x, m, reach)
-    if short:
-        return True
-    low = n - m + _TAIL + 1
-    high = min(n // 2, m - _TAIL - 1)
-    if low <= high:
-        z = x[m - _TAIL:m]
-        first = m - _TAIL - high  # the occurrence of z for the longest half
-        q = x.rfind(z, first, m - low)
-        while q >= 0:
-            p = q + _TAIL
-            if x[p] == x[m] and _anchored_start(x, p, m - p) >= 0:
-                return True
-            q = x.rfind(z, first, p - 1)
-    return False
-
-
 def _closing_prefixes(x: str, before: int, longest: int) -> tuple[str, ...]:
     # Strings r such that, for any block b of at most longest letters, x + b
     # has a square that starts before `before` and holds m = len(x) in its
@@ -368,44 +308,64 @@ def _closing_prefixes(x: str, before: int, longest: int) -> tuple[str, ...]:
     # and b must start with the rest, x[m - L:s + L].  So t <= c, the common
     # suffix of x[:m - L] and x, capped at L - 1 (s > m - 2L) and at m - L
     # (s >= 0), and the least start s = m - L - c gives the r = x[m - L:m - c]
-    # that every other r of this half extends.  It counts when s < before,
-    # that is c >= m - L - before + 1, and r has at most longest letters;
-    # the halves with room for both lie in [lo, hi].  Each half up to top
-    # needs c > _TAIL, and c >= k for the k below, so the last k letters of
-    # x, z, recur ending at m - L: str.rfind finds those halves, and the
-    # others are tested one by one, with c = 0 and no call when its cap is
-    # 0 or x[m - L - 1] != x[m - 1].  The bounds are taken by comparison,
-    # not min and max, as a walk calls this once per node.
+    # that every other r of this half extends.  It counts when s < before
+    # and r has at most longest letters, that is when c reaches
+    # need = max(span - L, L - longest), span = m - before + 1, which the
+    # halves in [lo, hi] have room for.  The least need k is at
+    # L = (span + longest) // 2.  When k is at most _TAIL, the halves
+    # needing at most _TAIL, [first, last], are tested one by one, with
+    # c = 0 and no call when its cap is 0 or x[m - L - 1] != x[m - 1].
+    # Each other half needs c >= k, or c > _TAIL, so the last k letters of
+    # x, z, recur ending at m - L: str.rfind finds those halves, and a
+    # slice compare of the letters its need asks for rejects most before
+    # _match_back.  The bounds are taken by comparison, not min and max, as
+    # a walk calls this once per node.
     m = len(x)
-    lo = (m - before + 3) // 2
+    span = m - before + 1
+    lo = (span + 2) // 2
     if lo < 1:
         lo = 1
     hi = (m + longest) // 2
     if hi > m:
         hi = m
-    top = m - before - _TAIL
-    if top < lo:
-        halves = range(lo, hi + 1)
-    else:
-        if top > hi:
-            top = hi
-        k = m - top - before + 1
-        z = x[m - k:]
-        q = x.rfind(z, before - 1, m - lo)  # a copy of z ends at m - L
-        if q < 0 and top == hi:
-            return ()  # the usual outcome deep in a walk
-        halves = list(range(top + 1, hi + 1))
-        while q >= 0:
-            halves.append(m - k - q)
-            q = x.rfind(z, before - 1, q + k - 1)
+    k = span - (span + longest) // 2
     closing = []
-    for half in halves:
-        p = m - half
-        cap = p if p < half else half - 1
-        c = _match_back(x, p, m, cap) if cap and x[p - 1] == x[m - 1] else 0
-        if p - c < before and half - c <= longest:
-            closing.append(x[p:m - c])
+    if k <= _TAIL:
+        first = span - _TAIL
+        if first < lo:
+            first = lo
+        last = longest + _TAIL
+        if last > hi:
+            last = hi
+        for half in range(first, last + 1):
+            p = m - half
+            cap = p if p < half else half - 1
+            c = _match_back(x, p, m, cap) if cap and x[p - 1] == x[m - 1] else 0
+            if p - c < before and half - c <= longest:
+                closing.append(x[p:m - c])
+        # m skips the search when the band holds every half
+        k = _TAIL + 1 if lo < first or last < hi else m
+    if k < m:
+        z = x[m - k:]
+        start = m - hi - k if m - hi - k > 0 else 0
+        q = x.rfind(z, start, m - lo)  # a copy of z ends at m - L
+        while q >= 0:
+            p = q + k
+            half = m - p
+            need = span - half if span - half > half - longest else half - longest
+            cap = p if p < half else half - 1
+            if _TAIL < need <= cap and x[p - need:q] == x[m - need:m - k]:
+                closing.append(x[p:m - _match_back(x, p, m, cap)])
+            q = x.rfind(z, start, p - 1)
     return tuple(closing)
+
+
+def _opening_suffixes(b: str) -> tuple[str, ...]:
+    # Strings o such that p + b has a square holding len(p) in its left half
+    # or at its middle exactly when p ends with some o: the closing prefixes
+    # of b reversed, reversed back.  Such a square has no more letters in p
+    # than in b.
+    return tuple(r[::-1] for r in _closing_prefixes(b[::-1], len(b), len(b)))
 
 
 def _square_free_words(letters: str, limit: int,

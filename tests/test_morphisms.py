@@ -348,11 +348,17 @@ def test_two_letter_refutation_needs_no_walk(monkeypatch, extra):
     square_free_words = morphisms._square_free_words
     monkeypatch.setattr(morphisms, "_square_free_words", lambda letters, limit:
                         events.append(("walk", limit)) or square_free_words(letters, limit))
-    monkeypatch.setattr(morphisms, "_square_across", lambda *args: events.append("across"))
+    tables = []
+    for name in ("_closing_prefixes", "_opening_suffixes"):
+        listing = getattr(morphisms, name)
+        monkeypatch.setattr(morphisms, name, lambda x, *rest, name=name, listing=listing:
+                            tables.append((name, x)) or listing(x, *rest))
     cert = certify_square_free_morphism(h)
-    # The pair pass refutes by closing prefixes and opening suffixes, with
-    # no boundary scan, and the walk stops at one letter.
+    # The pair pass refutes by the closing prefixes and opening suffixes
+    # listed once per letter image, and the walk stops at one letter.
     assert events == [("walk", 1)]
+    assert tables == [(name, img) for name in ("_closing_prefixes", "_opening_suffixes")
+                      for img in images]
     assert cert == reference_certify_morphism(h)
     assert cert.counterexample[0] in ("10", "12")
 
@@ -388,9 +394,11 @@ def test_deep_nodes_test_only_their_closing_prefixes(monkeypatch):
     assert shallow == ["101", "102", "201", "202"]
     closing = []
     closing_prefixes = morphisms._closing_prefixes
-    monkeypatch.setattr(morphisms, "_closing_prefixes",
-                        lambda *args: closing.append(args[0]) or closing_prefixes(*args))
-    monkeypatch.setattr(morphisms, "_square_across", None)
+    recording = lambda *args: closing.append(args[0]) or closing_prefixes(*args)
+    # the opening suffixes are listed through words, and so is every other
+    # boundary test: these are all of them
+    monkeypatch.setattr(morphisms, "_closing_prefixes", recording)
+    monkeypatch.setattr(words, "_closing_prefixes", recording)
     cert, read = endswith_reads(certify_square_free_morphism, h)
     assert cert == Certificate(cert.subject, "certified", 27, 66189)
     assert closing[:6] == list(h.images) + [img[::-1] for img in h.images]
@@ -568,6 +576,14 @@ def test_search_matches_whole_word_placement_long_images(src_k, image_length):
     assert catalog.get_morphism(f"u{image_length}") == expected.morphism
 
 
+@pytest.mark.parametrize("src_k, dst_k, image_length", [(3, 4, 4), (3, 4, 5), (3, 4, 6), (4, 4, 3)])
+def test_search_over_four_letters_matches_whole_word_placement(src_k, dst_k, image_length):
+    # Each of these searches meets a triple word whose squares all start
+    # at the last letter of its first image.
+    expected = reference_search(src_k, dst_k, image_length)
+    assert search_uniform_square_free_morphism(src_k, dst_k, image_length) == expected
+
+
 def test_search_finds_the_longest_catalog_map():
     assert search_uniform_square_free_morphism(5, 3, 22).morphism == catalog.get_morphism("u22")
 
@@ -671,6 +687,68 @@ def test_stretch_variant_certificate_matches_product_order(s, length):
     assert certify_square_free_substitution(s, length) == reference_certify_substitution(s, length)
 
 
+def test_square_holding_the_boundary_in_its_left_half():
+    # The image 012012 of 01 under 0 -> 0, 1 -> 12012 is a square whose left
+    # half holds the boundary, so only the opening suffixes of 12012 see it.
+    s = Substitution(2, 3, (("0",), ("12012",)))
+    cert = certify_square_free_substitution(s, 2)
+    assert cert == reference_certify_substitution(s, 2)
+    assert cert.counterexample == ("01", SquareOccurrence(0, 3))
+
+
+def failing_blocks(s, w):
+    """The blocks of the first image of w with a square, in product order,
+    up to the first block that closes a square."""
+    for blocks in itertools.product(*(s.image_sets[int(a)] for a in w)):
+        for depth in range(1, len(w) + 1):
+            if brute_find_square("".join(blocks[:depth])):
+                return blocks[:depth]
+    return None
+
+
+def test_long_sweeps_match_product_order():
+    # Source words of 5 and 6 letters, so that nodes from the third block
+    # on list closing prefixes for squares starting before their last two
+    # blocks: stretch with images dropped or changed in one letter, and
+    # images u18(v) of square-free words v of 1-2 letters out of five, whose
+    # squares have halves of whole images.  The floors count certificates
+    # and refutations by a square that starts before the last two blocks
+    # of the node whose block closes it.
+    rng = random.Random(26)
+    u18 = catalog.get_morphism("u18")
+    certified = early_starts = 0
+    for case in range(100):
+        if case % 2:
+            sets = []
+            for images in catalog.get_substitution("stretch").image_sets:
+                kept = list(rng.choice([images, images[:1], images[1:]]))
+                if rng.random() < 0.5:
+                    i = rng.randrange(len(kept))
+                    pos = rng.randrange(len(kept[i]))
+                    kept[i] = kept[i][:pos] + rng.choice("012") + kept[i][pos + 1:]
+                sets.append(tuple(kept))
+            s = Substitution(3, 3, tuple(sets))
+        else:
+            sets = []
+            for _ in range(rng.choice((3, 4))):
+                images = []
+                for _ in range(rng.randint(1, 2)):
+                    v = rng.choice("01234")
+                    if rng.randrange(2):
+                        v += rng.choice("01234".replace(v[-1], ""))
+                    images.append(apply_morphism(u18, v))
+                sets.append(tuple(images))
+            s = Substitution(len(sets), 3, tuple(sets))
+        length = rng.choice((5, 6))
+        cert = certify_square_free_substitution(s, length)
+        assert cert == reference_certify_substitution(s, length), s
+        certified += cert.certified
+        if cert.counterexample is not None:
+            blocks = failing_blocks(s, cert.counterexample[0])
+            early_starts += brute_find_square("".join(blocks)).start < len("".join(blocks[:-3]))
+    assert certified >= 15 and early_starts >= 8
+
+
 ROTATE = str.maketrans("012", "120")
 
 
@@ -754,18 +832,23 @@ def test_one_letter_substitution_matches_product_order(images, length):
 def test_refutation_through_a_window_of_an_earlier_word(monkeypatch):
     # Images u18(3), u18(40), u18(1201), u18(2): the first failing image of
     # the sweep is that of 123, u18(4012012), whose only square has half 54
-    # (that of u18(012012), moved left), above 18 + _TAIL.  The square
-    # starts before the window of its last boundary, and the earlier word
-    # 023 has left that window in the sweep's memo with no short square,
-    # so the refutation comes from the long halves after a memo hit.
-    tested = []
-    short_across = words._short_across
+    # (that of u18(012012), moved left), above 18 + _TAIL.  The earlier
+    # word 023 ends with the same window of the last boundary and has no
+    # square.  The square of 123 starts in the last two blocks of its node
+    # 12, so the closing prefixes of those two blocks, listed once, catch
+    # it.  Over the letters u18(3), u18(4), u18(0), u18(1201), u18(2), the
+    # first failing word of length 4 is 0234, u18(3012012), with the same
+    # square.  It starts in the first block, before the last two blocks of
+    # the node 023, and the closing prefixes that node lists for starts
+    # before those blocks catch it.
+    listed = {}
+    closing_prefixes = morphisms._closing_prefixes
 
-    def recording(x, *rest):
-        tested.append(x)
-        return short_across(x, *rest)
+    def recording(x, before, longest):
+        listed[x, before] = closing_prefixes(x, before, longest)
+        return listed[x, before]
 
-    monkeypatch.setattr(words, "_short_across", recording)
+    monkeypatch.setattr(morphisms, "_closing_prefixes", recording)
     u18 = catalog.get_morphism("u18")
     s = Substitution(4, 3, tuple((apply_morphism(u18, v),) for v in ("3", "40", "1201", "2")))
     cert = certify_square_free_substitution(s, 3)
@@ -774,4 +857,15 @@ def test_refutation_through_a_window_of_an_earlier_word(monkeypatch):
     early, late = (substitute_with_choices(s, w, [0, 0, 0]) for w in ("023", "123"))
     window = 2 * (18 + words._TAIL) + 18
     assert early[-window:] == late[-window:] and 13 < len(late) - window
-    assert is_square_free(early) and early in tested and late not in tested
+    block = apply_morphism(u18, "2")
+    node = early[:-18]
+    assert is_square_free(early) and not block.startswith(listed[node, len(node)] + listed[node, 0])
+    node = late[:-18]
+    assert block.startswith(listed[node, len(node)]) and listed[node, 0] == ()
+
+    s = Substitution(5, 3, tuple((apply_morphism(u18, v),) for v in ("3", "4", "0", "1201", "2")))
+    cert = certify_square_free_substitution(s, 4)
+    assert cert == reference_certify_substitution(s, 4)
+    assert cert.counterexample == ("0234", SquareOccurrence(13, 54))
+    node = substitute_with_choices(s, "023", [0, 0, 0])
+    assert block.startswith(listed[node, 18])

@@ -11,7 +11,7 @@ from shufflecraft.morphisms import apply_morphism, fixed_point_prefix
 from shufflecraft.words import (
     SquareOccurrence,
     _closing_prefixes,
-    _square_across,
+    _opening_suffixes,
     _square_free_counts,
     _starts_with_square,
     check_word,
@@ -25,6 +25,22 @@ from shufflecraft.words import (
 )
 
 ternary = st.text(alphabet="012", max_size=24)
+
+
+def square_across(w, m):
+    """The boundary test of the certifiers and the uniform search: with
+    p = w[:m] and b = w[m:] square-free, w has a square iff b starts with
+    one of p's closing prefixes or p ends with one of b's opening suffixes."""
+    p, b = w[:m], w[m:]
+    return b.startswith(_closing_prefixes(p, len(p), len(b))) or p.endswith(_opening_suffixes(b))
+
+
+def checked_square_across(w, m):
+    """square_across(w, m), once checked against brute force."""
+    expected = brute_find_square(w) is not None
+    assert square_across(w, m) == expected, (w, m)
+    return expected
+
 
 # Square-free and rich in long near-squares: a fixed point of an
 # 18-uniform morphism.
@@ -144,9 +160,9 @@ def test_long_half_square_is_found_exactly():
     assert find_square(w) == brute_find_square(w)
     assert find_square(w).half_length > 64
     assert not is_square_free(w)
-    assert _square_across(w, len(factor))
+    assert checked_square_across(w, len(factor))
     spoiled = w[:-1] + ("0" if w[-1] != "0" else "1")
-    assert _square_across(spoiled, len(factor)) == (brute_find_square(spoiled) is not None)
+    checked_square_across(spoiled, len(factor))
     assert is_square_free(H18_WORD)
 
 
@@ -158,7 +174,7 @@ def test_long_squares_at_every_offset_from_an_anchor(half):
         u = H18_WORD[start:start + half]
         w = H18_WORD[:start] + u + u
         assert find_square(w) == brute_find_square(w)
-        assert _square_across(w, start + half) == (brute_find_square(w) is not None)
+        checked_square_across(w, start + half)
 
 
 @pytest.mark.parametrize("half", [65, 80])
@@ -417,7 +433,7 @@ def test_lane_pass_on_a_long_word(default_digit_limit):
 def test_square_across_a_boundary(w, data):
     m = data.draw(st.integers(0, len(w) - 1))
     if is_square_free(w[:m]) and is_square_free(w[m:]):
-        assert _square_across(w, m) == (brute_find_square(w) is not None)
+        checked_square_across(w, m)
 
 
 @st.composite
@@ -444,8 +460,7 @@ def long_boundaries(draw):
 def test_square_across_long_words(case):
     left, right = case
     assume(is_square_free(right))
-    w = left + right
-    assert _square_across(w, len(left)) == (brute_find_square(w) is not None)
+    checked_square_across(left + right, len(left))
 
 
 @pytest.mark.parametrize("tail", [None, 1, 20])
@@ -453,10 +468,11 @@ def test_square_across_planted_long_halves(monkeypatch, tail):
     # p u u t with the boundary m at every offset j inside the second u:
     # x[:m] = p u u[:j] and x[m:] = u[j:] t, both square-free as factors of
     # h18 images of square-free words (b v v[:-1] and v a).  The halves
-    # above n - m + _TAIL come from str.rfind.  The cases kill these
-    # mutants: its end bound one short (j = len(t) + _TAIL + 1), its start
-    # bound one late (p empty, where the half is n // 2), the per-half loop
-    # stopping at n - m (j up to _TAIL).
+    # above n - m + _TAIL come from str.rfind in _closing_prefixes.  The
+    # cases kill these mutants: str.rfind skipping the first half above
+    # that (j = len(t) + _TAIL + 1), its start bound one late (p empty,
+    # where the half is n // 2), the halves tested one by one stopping at
+    # n - m (j up to _TAIL), and one letter more in its search.
     if tail is not None:
         monkeypatch.setattr(words, "_TAIL", tail)
     h18 = catalog.get_morphism("h18")
@@ -470,7 +486,7 @@ def test_square_across_planted_long_halves(monkeypatch, tail):
                 m = p_size + len(u) + j
                 assert is_square_free(w[:m]) and is_square_free(w[m:])
                 through_rfind += len(u) > len(w) - m + words._TAIL
-                assert _square_across(w, m) == expected, (v, p_size, t_size, j)
+                assert checked_square_across(w, m) == expected, (v, p_size, t_size, j)
     assert through_rfind >= 100
 
 
@@ -518,23 +534,17 @@ def boundary_streams(draw):
     return stream
 
 
-def assert_memo_agrees(known, x, m):
-    expected = brute_find_square(x) is not None
-    assert _square_across(x, m, known) == _square_across(x, m) == expected, (x, m)
-
-
 @settings(deadline=None, max_examples=300)
 @given(boundary_streams())
-def test_memoized_square_across_matches_brute_force(stream):
-    known = {}
+def test_square_across_shared_windows(stream):
     for x, m in stream:
-        assert_memo_agrees(known, x, m)
+        checked_square_across(x, m)
 
 
-def test_memo_windows_across_boundaries():
+def test_square_across_windows_of_one_word():
     # b u u with the boundary m late in the second u, so the square uu
-    # has a half above reach = n - m + _TAIL and starts before the window
-    # w[lo:], lo = m - 2 * reach.
+    # has a half above n - m + _TAIL and starts before the window w[lo:],
+    # lo = m - 2 * (n - m + _TAIL), that holds every shorter half.
     h18 = catalog.get_morphism("h18")
     before, u = apply_morphism(h18, "2"), apply_morphism(h18, "0121")
     w = before[-9:] + u + u
@@ -542,23 +552,17 @@ def test_memo_windows_across_boundaries():
     reach = len(w) - m + words._TAIL
     lo = m - 2 * reach
     assert is_square_free(w[:m]) and is_square_free(w[m:]) and 9 < lo
-    known = {}
     # the window itself, its boundary at 2 * reach: no square
-    assert_memo_agrees(known, w[lo:], 2 * reach)
-    assert len(known) == 1
-    # the same window at boundary m: the short verdict is read back, and
-    # the square of half len(u) > reach still comes from the long halves;
-    # then at m - lo + 1 in a suffix that cuts the square off
-    assert_memo_agrees(known, w, m)
-    assert_memo_agrees(known, w[lo - 1:], m - lo + 1)
-    assert len(known) == 1 and _square_across(w, m, known)
-    # a clamped window, m < 2 * reach: the whole word is the window
-    assert_memo_agrees(known, w[lo + 1:], m - lo - 1)
-    assert len(known) == 2
-    # one clamped window at two boundaries: the square uu has a long half
-    # at the first and a short one at the second
+    assert not checked_square_across(w[lo:], 2 * reach)
+    # the same window at boundary m holds the square of half len(u) >
+    # reach; a suffix from lo - 1 cuts it off, and so does one from lo + 1
+    assert checked_square_across(w, m)
+    assert not checked_square_across(w[lo - 1:], m - lo + 1)
+    assert not checked_square_across(w[lo + 1:], m - lo - 1)
+    # the square uu at two boundaries, with a long half at the first and a
+    # short one at the second
     for j in (18, 3):
-        assert_memo_agrees(known, u + u, len(u) + j)
+        assert checked_square_across(u + u, len(u) + j)
 
 
 def random_square_free(rng, size):
@@ -625,6 +629,52 @@ def test_closing_prefixes_match_brute_force():
         squares += bool(halves)
         through_rfind += bool(halves) and halves[0] <= len(x) - before - words._TAIL
     assert squares >= 500 and through_rfind >= 200
+
+
+@pytest.mark.parametrize("tail", [1, 3])
+def test_closing_prefixes_at_the_band_edges(monkeypatch, tail):
+    # Binary words and a small _TAIL put halves on both edges of the band
+    # tested one half at a time, [span - _TAIL, longest + _TAIL], and on
+    # both sides of it, found by str.rfind with the fewest letters any of
+    # them needs.
+    monkeypatch.setattr(words, "_TAIL", tail)
+    rng = random.Random(tail)
+    squares = 0
+    for _ in range(3000):
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, 30)))
+        b = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+        longest = len(b) + rng.choice([0, 1, 5])
+        before = rng.choice([1, 2, len(x) // 2, len(x) - 9, len(x), len(x) + 5])
+        closing = _closing_prefixes(x, before, longest)
+        assert all(len(r) <= longest for r in closing)
+        halves = brute_closing_squares(x, b, before)
+        assert b.startswith(closing) == bool(halves), (x, b, before, longest)
+        squares += bool(halves)
+    assert squares >= 500
+
+
+def test_triple_words_need_only_closing_prefixes():
+    # With x + y and y + z square-free and all three of length L, a square
+    # of x + y + z starts in x and holds 2L in its right half, so it exists
+    # iff z starts with a closing prefix of x + y from a start below L: the
+    # uniform search's test of a triple word.
+    rng = random.Random(25)
+    triples = squares = 0
+    while triples < 1500:
+        size = rng.randint(5, 13)
+        xy = random_square_free(rng, 2 * size)
+        # z continues y at random, drawn again at a dead end
+        yz = xy[size:]
+        while len(yz) < 2 * size and yz:
+            fits = [c for c in "012" if is_square_free(yz + c)]
+            yz = yz + rng.choice(fits) if fits else ""
+        z = yz[size:]
+        if z:
+            triples += 1
+            found = z.startswith(_closing_prefixes(xy, size, size))
+            assert found == (brute_find_square(xy + z) is not None), (xy, z)
+            squares += found
+    assert squares >= 150
 
 
 def opening_case(rng):
